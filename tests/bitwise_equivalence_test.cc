@@ -19,7 +19,8 @@
 // Schedules deliberately cover the paths where layout/replay bugs would hide: all seven
 // policies (the six-figure lineup plus the N-endpoint placement policy), a many-VMA
 // segmented stream, a chaos fault plan (parks, quarantines, pressure, alloc refusals),
-// and a fabric fault plan (link-down reroutes, endpoint evacuation).
+// a fabric fault plan (link-down reroutes, endpoint evacuation), and Zipfian tenant KV
+// servers under strict-budget QoS (the one schedule driven by the Zipf sampler).
 
 #include <gtest/gtest.h>
 
@@ -34,6 +35,7 @@
 #include "src/harness/experiment.h"
 #include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
+#include "src/workloads/tenant_kv.h"
 #include "tests/experiment_result_testutil.h"
 
 namespace chronotier {
@@ -164,6 +166,37 @@ ExperimentConfig NTierExperiment() {
   return config;
 }
 
+// Declared strict-budget tenants, one open-loop Zipfian KV server each, on the N-tier
+// tree: the only schedule whose op streams come from the Zipf sampler.
+ExperimentConfig TenantExperiment() {
+  ExperimentConfig config = NTierExperiment();
+  for (int i = 0; i < 4; ++i) {
+    TenantSpec tenant;
+    tenant.name = "t" + std::to_string(i);
+    tenant.residency_budget_pages = {768};  // Fast node capped; endpoints unlimited.
+    tenant.qos_program = "strict-budget";
+    config.tenants.push_back(tenant);
+  }
+  return config;
+}
+
+std::vector<ProcessSpec> TenantKvProcs(int count) {
+  TenantKvConfig w;
+  w.virtual_tenants = 16;
+  w.items_per_tenant = 160;
+  w.value_bytes = kBasePageSize;
+  w.churn_period_ops = 10000;
+  w.churn_stride = 5;
+  w.mean_interarrival = 4 * kMicrosecond;
+  std::vector<ProcessSpec> procs;
+  for (int i = 0; i < count; ++i) {
+    ProcessSpec spec{"kv", [w] { return std::make_unique<TenantKvStream>(w); }};
+    spec.tenant = i;
+    procs.push_back(spec);
+  }
+  return procs;
+}
+
 ExperimentConfig ChaosExperiment() {
   ExperimentConfig config = SmallExperiment();
   config.fault.enabled = true;
@@ -232,6 +265,7 @@ constexpr SeedGolden kSeedGoldens[] = {
     {"chaos/Chrono", 0x71ebccd08cc76b7dull},
     {"chaos/Multi-Clock", 0xa113efe9235758feull},
     {"fabric/Chrono", 0x4aad45429fed8a3dull},
+    {"tenants/Chrono", 0xb833052870e98787ull},
 };
 
 uint64_t GoldenFor(const std::string& key) {
@@ -306,6 +340,12 @@ TEST(SoaSeedEquivalenceTest, FabricFaultSchedule) {
   ExpectSeedFingerprint("fabric/Chrono", FabricExperiment(),
                         FindPolicy(TopologyPolicySet(FastGeometry()), "Chrono"),
                         GaussianProcs(2, /*read_ratio=*/0.6));
+}
+
+TEST(SoaSeedEquivalenceTest, TenantKvSchedule) {
+  ExpectSeedFingerprint("tenants/Chrono", TenantExperiment(),
+                        FindPolicy(TopologyPolicySet(FastGeometry()), "Chrono"),
+                        TenantKvProcs(4));
 }
 
 // --- batched vs single-step replay ---
