@@ -23,6 +23,7 @@
 #include "src/sim/event_queue.h"
 #include "src/vm/address_space.h"
 #include "src/vm/scanner.h"
+#include "src/workloads/pmbench.h"
 
 namespace ct = chronotier;
 
@@ -145,6 +146,50 @@ void BM_RngGaussian(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngGaussian);
+
+// --- Stream generation ---
+
+// One Zipf draw answered from the shared table (Arg = n). The skews are the tenant KV
+// defaults: 1.05 over 16 tenants, 0.99 over a 192-item key space.
+void BM_ZipfSample(benchmark::State& state) {
+  const auto n = static_cast<uint64_t>(state.range(0));
+  const ct::ZipfSampler zipf(n, n <= 64 ? 1.05 : 0.99);
+  ct::Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.Sample(rng));
+  }
+}
+BENCHMARK(BM_ZipfSample)->Arg(16)->Arg(192);
+
+// One table built from scratch, bypassing the shared cache: the set-up cost the first
+// sampler of a new (n, s) pays.
+void BM_ZipfTableBuild(benchmark::State& state) {
+  const ct::ZipfSampler zipf(static_cast<uint64_t>(state.range(0)), 0.99);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ct::ZipfTable::Build(zipf));
+  }
+}
+BENCHMARK(BM_ZipfTableBuild)->Arg(192)->Unit(benchmark::kMicrosecond);
+
+// pmbench as fig06 runs it (Gaussian indexes, stride 2, 96 MB), 64 ops per FillBatch;
+// items/s is ops/s.
+void BM_PmbenchFill(benchmark::State& state) {
+  ct::PmbenchConfig config;
+  config.working_set_bytes = 96ull << 20;
+  config.pattern = ct::PmbenchPattern::kGaussian;
+  config.stride = 2;
+  ct::PmbenchStream stream(config);
+  ct::Process process(0, "pmbench");
+  ct::Rng rng(6);
+  stream.Init(process, rng);
+  std::array<ct::MemOp, 64> ops{};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stream.FillBatch(rng, ops.data(), ops.size()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(ops.size()));
+}
+BENCHMARK(BM_PmbenchFill);
 
 void BM_SelectionEfficiencyNumeric(benchmark::State& state) {
   const ct::HotnessDensity h(0.6);

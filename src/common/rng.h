@@ -10,6 +10,8 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 namespace chronotier {
 
@@ -104,18 +106,98 @@ class Rng {
   double cached_gaussian_ = 0;
 };
 
+class ZipfSampler;
+
+// The outcome of one ZipfSampler rejection-inversion attempt, tabulated over its 53-bit
+// uniform input r. An attempt maps r to "accept rank k" or "reject", and that map is a
+// step function of r with about 2n steps (each rank's accept span, then its reject
+// span), so a sorted list of pieces answers it with one bucket load and a short forward
+// scan instead of one to three std::pow calls. The table is exact by construction: every
+// r within a guard band of a step boundary — where floating-point rounding makes the
+// boundary's position uncertain — is marked kExact and recomputed by Attempt(r), and the
+// builder verifies every constant piece at both edges against Attempt before it trusts
+// it. Tables are immutable and shared process-wide per (n, s); see ZipfSampler.
+class ZipfTable {
+ public:
+  // Piece outcome codes: below kReject is an accepted 0-based rank.
+  static constexpr uint32_t kReject = 0xFFFFFFFEu;
+  static constexpr uint32_t kExact = 0xFFFFFFFFu;
+  // Largest n tabulated; above it every draw runs Attempt().
+  static constexpr uint64_t kMaxN = 4096;
+  // Initial half-width of the guard band around each boundary, in steps of r. A seeded
+  // boundary whose edge check fails has its band doubled until the check passes.
+  static constexpr uint64_t kGuard = 64;
+
+  // Builds the table for `sampler`'s (n, s), bypassing the shared cache. n <= kMaxN.
+  static std::shared_ptr<const ZipfTable> Build(const ZipfSampler& sampler);
+
+  // Outcome code of the piece holding r (r < 2^53).
+  uint32_t Outcome(uint64_t r) const {
+    size_t piece = bucket_first_[r >> bucket_shift_];
+    while (starts_[piece + 1] <= r) {
+      ++piece;
+    }
+    return outcomes_[piece];
+  }
+
+  size_t pieces() const { return outcomes_.size(); }
+  uint64_t piece_start(size_t piece) const { return starts_[piece]; }
+
+ private:
+  ZipfTable() = default;
+
+  std::vector<uint64_t> starts_;  // pieces() + 1 entries; the last is the 2^53 sentinel.
+  std::vector<uint32_t> outcomes_;
+  // bucket_first_[b] is the piece holding r = b << bucket_shift_.
+  std::vector<uint32_t> bucket_first_;
+  int bucket_shift_ = 53;
+};
+
 // Zipf(s) sampler over {0, ..., n-1} using rejection-inversion (Hörmann & Derflinger).
 // Suitable for the skewed key-popularity distributions used by the KV-store workloads.
+//
+// Attempt() is the one copy of the algorithm. Sample() draws r = Next() >> 11 (the bits
+// NextDouble uses) until an attempt accepts, answering each attempt from the shared
+// ZipfTable when n <= ZipfTable::kMaxN; the ranks and the RNG draws are bit-identical to
+// calling Attempt() directly.
 class ZipfSampler {
  public:
   ZipfSampler(uint64_t n, double s);
 
-  uint64_t Sample(Rng& rng) const;
+  uint64_t Sample(Rng& rng) const {
+    uint64_t rank = 0;
+    while (!Lookup(rng.Next() >> 11, &rank)) {
+    }
+    return rank;
+  }
+
+  // One rejection-inversion attempt on the 53-bit uniform r. Sets *rank to the candidate
+  // rank and returns whether the attempt accepts it.
+  bool Attempt(uint64_t r, uint64_t* rank) const;
+
+  // Attempt(r) answered from the table where there is one (*rank is set only when the
+  // attempt accepts).
+  bool Lookup(uint64_t r, uint64_t* rank) const {
+    if (table_ != nullptr) {
+      const uint32_t outcome = table_->Outcome(r);
+      if (outcome < ZipfTable::kReject) {
+        *rank = outcome;
+        return true;
+      }
+      if (outcome == ZipfTable::kReject) {
+        return false;
+      }
+    }
+    return Attempt(r, rank);
+  }
 
   uint64_t n() const { return n_; }
   double s() const { return s_; }
+  const ZipfTable* table() const { return table_.get(); }
 
  private:
+  friend class ZipfTable;
+
   double H(double x) const;
   double HInverse(double x) const;
 
@@ -124,6 +206,7 @@ class ZipfSampler {
   double h_x1_;
   double h_n_;
   double threshold_;
+  std::shared_ptr<const ZipfTable> table_;  // Null above ZipfTable::kMaxN.
 };
 
 }  // namespace chronotier

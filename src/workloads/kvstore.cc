@@ -3,9 +3,16 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/common/check.h"
+
 namespace chronotier {
 
 void KvStoreStream::Init(Process& process, Rng& /*rng*/) {
+  // One burst holds the bucket probe plus one op per value page; a longer value would
+  // silently skip its tail pages.
+  CHECK_LE(MaxValuePages(config_.value_bytes), static_cast<uint64_t>(kMaxBurst - 1))
+      << "kvstore value_bytes " << config_.value_bytes << " can span more than "
+      << kMaxBurst - 1 << " pages";
   num_buckets_ = std::max<uint64_t>(config_.num_items / config_.buckets_per_item, 1);
   const uint64_t bucket_bytes = num_buckets_ * 8;  // Pointer-sized bucket heads.
   const uint64_t heap_bytes = config_.num_items * config_.value_bytes;

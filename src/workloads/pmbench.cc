@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "src/common/check.h"
 
 namespace chronotier {
 
@@ -11,18 +14,35 @@ void PmbenchStream::Init(Process& process, Rng& /*rng*/) {
   region_vpn_ = vaddr / kBasePageSize;
   // MapRegion may round up to the huge-page unit; address the requested set only.
   num_pages_ = std::max<uint64_t>(config_.working_set_bytes / kBasePageSize, 1);
+  stride_ = std::max<uint64_t>(config_.stride, 1);
+  // Round-up reciprocal for the stride fold (see MapIndexToVpn). Strided indexes stay
+  // below num_pages_ * stride_, which must fit in 32 bits for the proof; the quotient
+  // steps at multiples of num_pages_, so verify both sides of every one anyway.
+  constexpr uint64_t kProven = uint64_t{1} << 32;
+  if (num_pages_ > 1 && stride_ < (uint64_t{1} << 16) && num_pages_ <= kProven / stride_) {
+    fold_magic_ = std::numeric_limits<uint64_t>::max() / num_pages_ + 1;
+    for (uint64_t q = 1; q < stride_; ++q) {
+      for (const uint64_t a : {q * num_pages_ - 1, q * num_pages_}) {
+        const auto fast =
+            static_cast<uint64_t>((static_cast<__uint128_t>(a) * fold_magic_) >> 64);
+        CHECK_EQ(fast, a / num_pages_) << "bad stride-fold reciprocal";
+      }
+    }
+  }
 }
 
 uint64_t PmbenchStream::MapIndexToVpn(uint64_t index) const {
-  // Hot path: avoid divisions when the index is already in range (the common case).
+  // Every pattern draws in range; only external callers may pass a wider index.
   if (index >= num_pages_) {
     index %= num_pages_;
   }
-  uint64_t strided = index * std::max<uint64_t>(config_.stride, 1);
-  if (strided >= num_pages_) {
-    strided %= num_pages_;
+  const uint64_t strided = index * stride_;
+  if (fold_magic_ != 0) {
+    const auto quotient =
+        static_cast<uint64_t>((static_cast<__uint128_t>(strided) * fold_magic_) >> 64);
+    return region_vpn_ + (strided - quotient * num_pages_);
   }
-  return region_vpn_ + strided;
+  return region_vpn_ + strided % num_pages_;
 }
 
 std::vector<uint64_t> PmbenchStream::HotVpns(double fraction) const {

@@ -46,9 +46,14 @@ class PmbenchStream : public AccessStream {
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
 
-  // Maps a pre-stride page index to the virtual page it touches. Exposed so benches can
-  // construct ground-truth hot sets (the center fraction of the index space) even when the
-  // stride scatters them across the address space.
+  // Maps a pre-stride page index to the virtual page it touches: region start +
+  // (index * stride) mod num_pages. Exposed so benches can construct ground-truth hot sets
+  // (the center fraction of the index space) even when the stride scatters them across
+  // the address space. This is the per-op address map, and the fold's quotient is
+  // unpredictable for stride >= 2, so it uses a round-up reciprocal instead of a hardware
+  // divide: with m = floor(2^64 / n) + 1, (a * m) >> 64 == a / n exactly for all a, n <
+  // 2^32 (Lemire's multiply-shift, as in SegmentedStream; Init verifies every quotient
+  // step and falls back to division outside the proven range).
   uint64_t MapIndexToVpn(uint64_t index) const;
 
   // Virtual pages whose pre-stride index lies in the centered `fraction` of the index
@@ -64,6 +69,8 @@ class PmbenchStream : public AccessStream {
   PmbenchConfig config_;
   uint64_t region_vpn_ = 0;
   uint64_t num_pages_ = 0;
+  uint64_t stride_ = 1;      // config_.stride, at least 1.
+  uint64_t fold_magic_ = 0;  // Round-up reciprocal of num_pages_; 0 = divide.
   uint64_t ops_issued_ = 0;
   uint64_t linear_cursor_ = 0;
   uint64_t init_cursor_ = 0;

@@ -10,6 +10,11 @@ namespace chronotier {
 void TenantKvStream::Init(Process& process, Rng& /*rng*/) {
   CHECK(config_.virtual_tenants > 0 && config_.items_per_tenant > 0)
       << "tenant_kv needs at least one tenant and one item";
+  // One burst holds the directory probe plus one op per value page; a longer value
+  // would silently skip its tail pages.
+  CHECK_LE(MaxValuePages(config_.value_bytes), static_cast<uint64_t>(kMaxBurst - 1))
+      << "tenant_kv value_bytes " << config_.value_bytes << " can span more than "
+      << kMaxBurst - 1 << " pages";
   const uint64_t directory_bytes = config_.virtual_tenants * kDirentBytes;
   const uint64_t heap_bytes = total_items() * config_.value_bytes;
 

@@ -19,6 +19,14 @@ struct MemOp {
   SimDuration think_time = 0;
 };
 
+// Most pages one value of `value_bytes` can touch in a heap of back-to-back values (the
+// KV streams): its page count, plus one when values are not page multiples and can
+// therefore start mid-page. Each touched page costs one op of a fixed-size burst.
+constexpr uint64_t MaxValuePages(uint64_t value_bytes) {
+  const uint64_t bytes = value_bytes == 0 ? 1 : value_bytes;
+  return (bytes + kBasePageSize - 1) / kBasePageSize + (bytes % kBasePageSize == 0 ? 0 : 1);
+}
+
 // A generator of MemOps bound to one process.
 class AccessStream {
  public:

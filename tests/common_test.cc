@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/common/histogram.h"
 #include "src/common/rng.h"
@@ -138,6 +142,109 @@ TEST(ZipfTest, SkewOrdersRanks) {
   EXPECT_GT(counts[10], counts[100]);
   // Rough zipf shape: counts[0]/counts[9] ~ 10^0.99 within loose factor bounds.
   EXPECT_GT(static_cast<double>(counts[0]) / counts[9], 4.0);
+}
+
+// The table-driven sampler must be the reference rejection-inversion loop, draw for draw:
+// same ranks, same RNG consumption. Covers every (n, s) the repo configures, the s = 1
+// log/exp branch, the degenerate n = 1 and n = 2, and an n above the table cap (where
+// Sample runs Attempt on every draw).
+struct ZipfCase {
+  uint64_t n;
+  double s;
+};
+
+// Configured: tenant popularity 16 and 64 at 1.05; key spaces 192, 512, fig15's 1536 / N
+// for N in {1, 4, 8, 16, 64}, and ZipfStream's 1000 and default 4096 pages at 0.99;
+// fig15's 768-item victim at 0.2.
+constexpr ZipfCase kZipfCases[] = {
+    {16, 1.05},   {64, 1.05},  {192, 0.99}, {512, 0.99},  {1536, 0.99},
+    {384, 0.99},  {96, 0.99},  {24, 0.99},  {1000, 0.99}, {4096, 0.99},
+    {768, 0.2},   {1, 0.99},   {2, 0.99},   {300, 1.0},   {ZipfTable::kMaxN + 1, 0.99},
+};
+
+uint64_t ReferenceSample(const ZipfSampler& zipf, Rng& rng) {
+  uint64_t rank = 0;
+  while (!zipf.Attempt(rng.Next() >> 11, &rank)) {
+  }
+  return rank;
+}
+
+TEST(ZipfTest, TableSamplerMatchesReferenceLoop) {
+  for (const ZipfCase& c : kZipfCases) {
+    const ZipfSampler zipf(c.n, c.s);
+    EXPECT_EQ(zipf.table() != nullptr, c.n <= ZipfTable::kMaxN);
+    Rng table_rng(c.n * 7919 + 1);
+    Rng reference_rng(c.n * 7919 + 1);
+    for (int i = 0; i < 10'000'000; ++i) {
+      const uint64_t expected = ReferenceSample(zipf, reference_rng);
+      const uint64_t actual = zipf.Sample(table_rng);
+      if (actual != expected) {
+        FAIL() << "n=" << c.n << " s=" << c.s << ": draw " << i << " gave rank " << actual
+               << ", reference " << expected;
+      }
+    }
+    EXPECT_EQ(table_rng.Next(), reference_rng.Next()) << "RNG streams drifted apart";
+  }
+}
+
+TEST(ZipfTest, TableMatchesAttemptAroundEveryBoundary) {
+  constexpr uint64_t kSpan = uint64_t{1} << 53;
+  constexpr uint64_t kReach = 4 * ZipfTable::kGuard;
+  for (const ZipfCase& c : kZipfCases) {
+    const ZipfSampler zipf(c.n, c.s);
+    const ZipfTable* table = zipf.table();
+    if (table == nullptr) {
+      continue;
+    }
+    uint64_t mismatches = 0;
+    for (size_t piece = 0; piece < table->pieces(); ++piece) {
+      const uint64_t boundary = table->piece_start(piece);
+      const uint64_t lo = boundary > kReach ? boundary - kReach : 0;
+      const uint64_t hi = std::min(boundary + kReach, kSpan - 1);
+      for (uint64_t r = lo; r <= hi; ++r) {
+        uint64_t table_rank = ~uint64_t{0};
+        uint64_t exact_rank = ~uint64_t{0};
+        const bool table_accepts = zipf.Lookup(r, &table_rank);
+        const bool exact_accepts = zipf.Attempt(r, &exact_rank);
+        if (table_accepts != exact_accepts || (exact_accepts && table_rank != exact_rank)) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "n=" << c.n << " s=" << c.s;
+    // Both ends of the input range, which no boundary may straddle.
+    for (const uint64_t r : {uint64_t{0}, kSpan - 1}) {
+      uint64_t table_rank = 0;
+      uint64_t exact_rank = 0;
+      EXPECT_EQ(zipf.Lookup(r, &table_rank), zipf.Attempt(r, &exact_rank));
+    }
+  }
+}
+
+TEST(ZipfTest, TablesAreSharedPerParameterPair) {
+  const ZipfSampler a(192, 0.99);
+  const ZipfSampler b(192, 0.99);
+  const ZipfSampler c(192, 0.98);
+  EXPECT_EQ(a.table(), b.table());
+  EXPECT_NE(a.table(), c.table());
+  // Roughly two boundaries per rank, each with a guard piece and a constant piece.
+  EXPECT_LE(a.table()->pieces(), 6u * 192u + 1u);
+}
+
+TEST(ZipfTest, ConcurrentSamplersShareOneTable) {
+  // Runner threads construct samplers concurrently; they must all land on one table.
+  std::array<const ZipfTable*, 4> seen{};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&seen, i] { seen[i] = ZipfSampler(777, 0.93).table(); });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  ASSERT_NE(seen[0], nullptr);
+  for (const ZipfTable* table : seen) {
+    EXPECT_EQ(table, seen[0]);
+  }
 }
 
 // --- histograms ---

@@ -471,5 +471,54 @@ TEST(TenantKvTest, ChurnRotatesTenantPopularity) {
   EXPECT_EQ(hot_tenants.size(), 10u);  // Stride 3 is coprime to 10: full cycle.
 }
 
+// A KV operation replays from a kMaxBurst = 8 slot buffer: the bucket or directory probe
+// plus one op per value page, so a value may span at most 7 pages, and a value that is not
+// a page multiple can start mid-page, which costs one page more. Init rejects anything
+// larger instead of silently skipping the tail pages.
+TEST(KvStoreTest, SevenPageValueTouchesEveryPage) {
+  Process process = MakeProcess();
+  Rng rng(22);
+  KvStoreConfig config;
+  config.num_items = 4;
+  config.value_bytes = 7 * kBasePageSize;
+  KvStoreStream stream(config);
+  stream.Init(process, rng);
+  MemOp op;
+  ASSERT_TRUE(stream.Next(rng, &op));  // Bucket probe of item 0's SET.
+  for (uint64_t page = 0; page < 7; ++page) {
+    ASSERT_TRUE(stream.Next(rng, &op));
+    EXPECT_EQ(op.vaddr / kBasePageSize, stream.heap_region_vpn() + page);
+  }
+}
+
+TEST(KvStoreDeathTest, ValueSpanningTooManyPagesIsRejected) {
+  KvStoreConfig config;
+  config.num_items = 4;
+  config.value_bytes = 6 * kBasePageSize + 1;  // 7 pages, 8 once a value starts mid-page.
+  EXPECT_DEATH(
+      {
+        Process process = MakeProcess();
+        Rng rng(23);
+        KvStoreStream stream(config);
+        stream.Init(process, rng);
+      },
+      "value_bytes");
+}
+
+TEST(TenantKvDeathTest, ValueSpanningTooManyPagesIsRejected) {
+  TenantKvConfig config;
+  config.virtual_tenants = 2;
+  config.items_per_tenant = 2;
+  config.value_bytes = 8 * kBasePageSize;
+  EXPECT_DEATH(
+      {
+        Process process = MakeProcess();
+        Rng rng(24);
+        TenantKvStream stream(config);
+        stream.Init(process, rng);
+      },
+      "value_bytes");
+}
+
 }  // namespace
 }  // namespace chronotier
