@@ -68,11 +68,10 @@ int main(int argc, char** argv) {
   row.config.residency_sample_interval = 10 * ct::kSecond;
   row.config.page_kind = ct::PageSizeKind::kBase;  // Residency comparable across systems.
   for (int i = 0; i < kProcs; ++i) {
-    // Each cgroup is a Tenant (src/tenant): the per-access stall that used to live on the
-    // process (the deprecated ProcessSpec::access_delay alias) is now the tenant's
-    // access_delay. The i-th tenant stalls i extra delay units per access (paper: i x 50
+    // Each cgroup is a Tenant (src/tenant) whose access_delay stalls every access of its
+    // process. The i-th tenant stalls i extra delay units per access (paper: i x 50
     // cycles); the spread is ~3x hottest-to-coldest, matching the paper's 2.8x
-    // cgroup-0 : cgroup-49. tests/tenant_test pins this route bit-identical to the alias.
+    // cgroup-0 : cgroup-49.
     ct::TenantSpec tenant;
     tenant.name = "cg-" + std::to_string(i);
     tenant.access_delay = static_cast<ct::SimDuration>(i) * 600 * ct::kNanosecond;

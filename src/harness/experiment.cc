@@ -30,7 +30,6 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config,
   machine_config.audit_period = config.audit_period;
   machine_config.enable_translation_cache = config.enable_translation_cache;
   machine_config.replay_batch_ops = config.replay_batch_ops;
-  machine_config.track_oracle = config.track_oracle;
   machine_config.trace = config.trace;
   machine_config.tenants = config.tenants;
   Machine machine(machine_config, std::move(policy));
@@ -39,13 +38,10 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config,
     const ProcessSpec& spec = process_specs[i];
     Process& process = machine.CreateProcess(spec.name.empty() ? "proc" : spec.name);
     process.set_default_page_kind(page_kind);
-    process.set_access_delay(spec.access_delay);
     if (!config.tenants.empty()) {
       CHECK(spec.tenant >= 0 && static_cast<size_t>(spec.tenant) < config.tenants.size())
           << "process " << spec.name << " names tenant " << spec.tenant << " but only "
           << config.tenants.size() << " are declared";
-      // May override the deprecated per-process delay set above when the tenant
-      // declares its own.
       machine.AssignTenant(process, spec.tenant);
     }
     machine.AttachWorkload(process, spec.make_stream(),

@@ -19,10 +19,6 @@ using StreamFactory = std::function<std::unique_ptr<AccessStream>()>;
 struct ProcessSpec {
   std::string name = "proc";
   StreamFactory make_stream;
-  // Deprecated alias for TenantSpec::access_delay (Fig. 9's per-cgroup stall knob):
-  // still honoured, but a nonzero delay on the owning tenant overrides it. New code
-  // should declare tenants and set the delay there.
-  SimDuration access_delay = 0;
   // Owning tenant (index into ExperimentConfig::tenants; 0 = first/default tenant).
   int tenant = 0;
 };
@@ -49,14 +45,11 @@ struct ExperimentConfig {
   FaultPlan fault;
   SimDuration audit_period = kSecond;
   // Access-path fast lane (MachineConfig::enable_translation_cache). On by default; the
-  // equivalence tests and bench/sim_throughput run both settings and compare.
+  // equivalence tests run both settings and compare.
   bool enable_translation_cache = true;
   // Batched access replay (MachineConfig::replay_batch_ops). Any value replays
   // bit-identically; 1 is the single-step reference the equivalence tests compare against.
   uint32_t replay_batch_ops = 64;
-  // Oracle access bookkeeping (MachineConfig::track_oracle). On by default; results are
-  // bit-identical either way — only oracle-consuming benches/tests read the data.
-  bool track_oracle = true;
   // Observability (src/trace), forwarded to MachineConfig. When enabled, any configured
   // export paths (Chrome trace JSON, telemetry time series, provenance dump) are written
   // after the measured window, before `finish` runs.

@@ -267,8 +267,8 @@ void Machine::AssignTenant(Process& process, int tenant) {
                        << " holds " << resident << " resident pages";
   process.set_tenant(tenant);
   tenants_.AssignProcess(process.pid(), tenant);
-  // Fold the tenant's Fig. 9 stall knob onto the member process; a nonzero tenant delay
-  // overrides the deprecated per-process alias (ProcessSpec::access_delay).
+  // Fold the tenant's Fig. 9 stall knob onto the member process; a zero tenant delay
+  // leaves any delay set directly on the process in place.
   const TenantSpec& spec = tenants_.spec(tenant);
   if (spec.access_delay > 0) {
     process.set_access_delay(spec.access_delay);
@@ -499,13 +499,11 @@ SimDuration Machine::FastPathAccess(Process& process, PageInfo& unit, uint64_t v
     unit.Set(kPageDirty);
     ++unit.write_gen;
   }
-  if (config_.track_oracle) {
-    ColdPage& cold = arena_.cold(unit);
-    cold.last_access = now;
-    ++cold.access_count;
-    if (unit.node != kFastNode) {
-      unit.Set(kPageOracleTouchedSlow);
-    }
+  ColdPage& cold = arena_.cold(unit);
+  cold.last_access = now;
+  ++cold.access_count;
+  if (unit.node != kFastNode) {
+    unit.Set(kPageOracleTouchedSlow);
   }
 
   if (pebs_active_) {
@@ -622,13 +620,11 @@ SimDuration Machine::SlowPathAccess(Process& process, uint64_t vpn, bool is_stor
     // and will abort at its commit check.
     ++unit.write_gen;
   }
-  if (config_.track_oracle) {
-    ColdPage& cold = arena_.cold(unit);
-    cold.last_access = now;
-    ++cold.access_count;
-    if (unit.node != kFastNode) {
-      unit.Set(kPageOracleTouchedSlow);
-    }
+  ColdPage& cold = arena_.cold(unit);
+  cold.last_access = now;
+  ++cold.access_count;
+  if (unit.node != kFastNode) {
+    unit.Set(kPageOracleTouchedSlow);
   }
 
   if (pebs_active_) {

@@ -81,17 +81,9 @@ struct MachineConfig {
   // Access-path fast lane: per-process software translation cache (last-hit VMA + a small
   // direct-mapped vpn -> hotness-unit TLB) consulted at the top of AccessMemory. Results
   // are bit-identical with it on or off (the fast lane replays exactly the slow path's
-  // present/!PROT_NONE/!migrating tail); the switch exists for equivalence tests and for
-  // measuring the fast lane's contribution in bench/sim_throughput.
+  // present/!PROT_NONE/!migrating tail); the switch exists as the reference the
+  // TLB-on/off equivalence tests compare against.
   bool enable_translation_cache = true;
-
-  // Oracle access bookkeeping: per-access writes to the cold side-array (ColdPage
-  // last_access / access_count) and the kPageOracleTouchedSlow flag. Nothing in src/
-  // reads these — they exist for identification-accuracy figures (fig02a, fig10) and
-  // tests that ground-truth hotness, so results are bit-identical either way (a seed
-  // golden pins this). Off saves the one uncorrelated cache line per access that isn't
-  // part of the simulated system; benches measuring raw replay speed disable it.
-  bool track_oracle = true;
 
   // Fault-injection plan (disabled by default). When enabled, genuine allocation
   // exhaustion degrades gracefully instead of being fatal: the demand fault is refused,

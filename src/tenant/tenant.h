@@ -67,9 +67,8 @@ struct TenantSpec {
   SimDuration migration_budget_burst = 50 * kMillisecond;
   // Priority weight for "fair-share" (and any custom program that reads it). Must be > 0.
   double weight = 1.0;
-  // Fig. 9's per-cgroup stall knob, folded up from ProcessSpec::access_delay (which
-  // remains as a deprecated per-process alias). Nonzero overrides the alias for every
-  // process assigned to this tenant.
+  // Fig. 9's per-cgroup stall knob: extra delay before every access of every process
+  // assigned to this tenant. Zero leaves each process's own delay untouched.
   SimDuration access_delay = 0;
   // Registered QoS program name ("" = no per-tenant program; budgets above still apply
   // to bandwidth, but residency budgets only bind through a program that reads them).

@@ -44,10 +44,9 @@ class Process {
   void AdvanceClock(SimDuration d) { clock_ += d; }
   void SyncClockTo(SimTime t) { clock_ = std::max(clock_, t); }
 
-  // Extra stall inserted before every access. Historically Fig. 9's per-cgroup delay knob
-  // set directly per process; with the tenant subsystem the machine folds the owning
-  // tenant's TenantSpec::access_delay into this field at assignment, and the per-process
-  // setter survives as the deprecated alias.
+  // Extra stall inserted before every access. Experiments set it per tenant: the machine
+  // folds the owning tenant's TenantSpec::access_delay into this field at assignment.
+  // Code that drives a Machine directly may also set it per process.
   SimDuration access_delay() const { return access_delay_; }
   void set_access_delay(SimDuration d) { access_delay_ = d; }
 

@@ -104,8 +104,9 @@ class HotsetStream : public AccessStream {
 // Uniform accesses over a working set mapped as many separate VMAs (glibc arenas, mmap'd
 // chunks, per-shard slabs). Consecutive accesses hop regions, so the last-hit VMA cache
 // misses almost every op and translation pays a real FindVma walk — the address-space
-// shape the software TLB exists for. `sim_throughput` uses it to measure the fast lane;
-// single-region streams (above) resolve via the last-hit VMA and see ~none of that cost.
+// shape the software TLB exists for. chronobench's fastlane workload uses it to time the
+// fast lane; single-region streams (above) resolve via the last-hit VMA and see ~none of
+// that cost.
 struct SegmentedConfig {
   uint64_t working_set_bytes = 96ull * 1024 * 1024;
   uint64_t segments = 24;  // VMAs; working set split evenly (last may be short).

@@ -57,6 +57,16 @@ inline void ExpectResultsIdentical(const ExperimentResult& a, const ExperimentRe
   EXPECT_EQ(a.emergency_reclaims, b.emergency_reclaims);
   EXPECT_EQ(a.pressure_spikes, b.pressure_spikes);
   EXPECT_EQ(a.stall_windows, b.stall_windows);
+
+  EXPECT_EQ(a.links_down, b.links_down);
+  EXPECT_EQ(a.endpoint_failures, b.endpoint_failures);
+  EXPECT_EQ(a.evacuated_pages, b.evacuated_pages);
+  EXPECT_EQ(a.evacuation_refused, b.evacuation_refused);
+  EXPECT_EQ(a.reroutes, b.reroutes);
+  EXPECT_EQ(a.reroute_parks, b.reroute_parks);
+
+  EXPECT_EQ(a.inflight_at_measure_start, b.inflight_at_measure_start);
+
   EXPECT_EQ(a.audits_run, b.audits_run);
 
   EXPECT_EQ(a.migration_commit_hash, b.migration_commit_hash);
