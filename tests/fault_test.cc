@@ -11,6 +11,7 @@
 
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/check.h"
@@ -550,6 +551,19 @@ class AuditorCorruptionTest : public ::testing::Test {
     return found;
   }
 
+  // Registers a present page that no process maps and puts it on `node`'s LRU list: an
+  // LRU entry the page-table walk can never cross off.
+  void AddStrayPage(int32_t owner, uint32_t vpn, NodeId node, bool active) {
+    PageInfo& page = stray_pages_.emplace_back();
+    page.owner = owner;
+    page.vpn = vpn;
+    page.node = node;
+    page.Set(kPagePresent);
+    machine_->arena().RegisterPage(&page);
+    machine_->lru(node).Insert(&page, active);
+  }
+
+  std::deque<PageInfo> stray_pages_;  // Before machine_: the arena points into it.
   std::unique_ptr<Machine> machine_;
 };
 
@@ -597,6 +611,48 @@ TEST_F(AuditorCorruptionTest, DetectsNodeFieldCorruption) {
   ASSERT_FALSE(report.clean());
   EXPECT_NE(report.Summary().find("wrong node"), std::string::npos);
   EXPECT_NE(report.Summary().find("frame accounting mismatch"), std::string::npos);
+}
+
+TEST_F(AuditorCorruptionTest, DetectsNonPresentPageOnList) {
+  PageInfo* unit = SomeResidentUnit();
+  ASSERT_NE(unit, nullptr);
+  // Drop the present bit but leave the page on its list.
+  unit->ClearFlag(kPagePresent);
+  const AuditReport report = machine_->AuditNow();
+  ASSERT_FALSE(report.clean());
+  const std::string where = " owner=" + std::to_string(static_cast<int32_t>(unit->owner)) +
+                            " vpn=" + std::to_string(unit->vpn);
+  EXPECT_NE(report.Summary().find("non-present page on LRU list"), std::string::npos);
+  EXPECT_NE(report.Summary().find(where), std::string::npos) << report.Summary();
+}
+
+TEST_F(AuditorCorruptionTest, DetectsMembershipTagMismatch) {
+  PageInfo* unit = SomeResidentUnit();
+  ASSERT_NE(unit, nullptr);
+  const LruMembership actual = unit->lru_state();
+  ASSERT_NE(actual, LruMembership::kNone);
+  unit->set_lru_state(actual == LruMembership::kActive ? LruMembership::kInactive
+                                                       : LruMembership::kActive);
+  const AuditReport report = machine_->AuditNow();
+  ASSERT_EQ(report.violations.size(), 1u) << report.Summary();
+  EXPECT_NE(report.Summary().find("LRU membership tag disagrees with list"),
+            std::string::npos);
+  const std::string tags = actual == LruMembership::kActive ? "tag=inactive list=active"
+                                                            : "tag=active list=inactive";
+  EXPECT_NE(report.Summary().find(tags), std::string::npos) << report.Summary();
+}
+
+TEST_F(AuditorCorruptionTest, ReportsStaleEntryWithSmallestOwnerAndVpn) {
+  // Three stray entries across both nodes and both lists, inserted out of (owner, vpn)
+  // order: the report names the count and the smallest pair, with its node.
+  AddStrayPage(/*owner=*/3, /*vpn=*/900, kFastNode, /*active=*/true);
+  AddStrayPage(/*owner=*/2, /*vpn=*/7000, kFastNode, /*active=*/false);
+  AddStrayPage(/*owner=*/2, /*vpn=*/50, kSlowNode, /*active=*/true);
+  const AuditReport report = machine_->AuditNow();
+  ASSERT_EQ(report.violations.size(), 1u) << report.Summary();
+  const std::string& v = report.violations.front();
+  EXPECT_NE(v.find("stale LRU entries"), std::string::npos) << v;
+  EXPECT_NE(v.find(" count=3 first_owner=2 first_vpn=50 node=1"), std::string::npos) << v;
 }
 
 }  // namespace
