@@ -5,9 +5,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "src/common/check.h"
@@ -19,10 +21,13 @@
 #include "src/core/cit.h"
 #include "src/core/estimator.h"
 #include "src/core/promotion_queue.h"
+#include "src/core/standard_policies.h"
+#include "src/harness/machine.h"
 #include "src/migration/migration_engine.h"
 #include "src/sim/event_queue.h"
 #include "src/vm/address_space.h"
 #include "src/vm/scanner.h"
+#include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
 
 namespace ct = chronotier;
@@ -300,6 +305,53 @@ void BM_EventScheduleAllocationFree(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(events));
 }
 BENCHMARK(BM_EventScheduleAllocationFree);
+
+// One invariant audit of a fully faulted 256 MB machine: a process maps 7/8 of the
+// machine and touches every page once, so the audit walks ~57k present units and their
+// LRU entries. The LRU cross-check keys a flat per-page table by arena index, so an
+// audit's heap allocations are a small constant (that table, the per-node residency
+// vector) whatever the page count — CHECK-enforced, like the event core's contract.
+void BM_AuditNow(benchmark::State& state) {
+  constexpr uint64_t kMachinePages = 65536;  // 256 MB of 4 KB pages.
+  constexpr uint64_t kMaxAllocsPerAudit = 4;
+  ct::MachineConfig config = ct::MachineConfig::StandardTwoTier(kMachinePages, 0.25);
+  config.audit_period = 0;  // Only the timed audits below.
+  ct::Machine machine(config, ct::StandardPolicySet().front().make());
+  ct::Process& process = machine.CreateProcess("fill");
+  ct::UniformConfig fill;
+  fill.working_set_bytes = kMachinePages / 8 * 7 * ct::kBasePageSize;
+  fill.sequential_init = true;
+  fill.op_limit = 1;  // The pre-touch, then one random op: the stream ends.
+  machine.AttachWorkload(process, std::make_unique<ct::UniformStream>(fill), 1);
+  machine.Start();
+  machine.RunToCompletion(ct::kMinute);
+  uint64_t units = 0;
+  process.aspace().ForEachPage([&units](ct::Vma&, ct::PageInfo& page) {
+    CHECK(page.present()) << "page " << page.vpn << " was never faulted in";
+    ++units;
+  });
+
+  uint64_t audits = 0;
+  uint64_t max_allocs = 0;
+  for (auto _ : state) {
+    const uint64_t allocs_before = g_heap_allocs.load();
+    const ct::AuditReport report = machine.AuditNow();
+    max_allocs = std::max(max_allocs, g_heap_allocs.load() - allocs_before);
+    CHECK(report.clean()) << report.Summary();
+    ++audits;
+  }
+  CHECK_LE(max_allocs, kMaxAllocsPerAudit)
+      << "one audit of " << units << " units allocated " << max_allocs
+      << " times — the audit's allocations must not grow with the page count";
+  state.counters["pages"] = static_cast<double>(units);
+  state.counters["allocs_per_audit"] = static_cast<double>(max_allocs);
+  // Inverted per-iteration rate: host seconds per audited page (printed as e.g. "14ns").
+  state.counters["time_per_page"] = benchmark::Counter(
+      static_cast<double>(units),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(static_cast<int64_t>(audits * units));
+}
+BENCHMARK(BM_AuditNow)->Unit(benchmark::kMicrosecond);
 
 // --- Migration engine ---
 

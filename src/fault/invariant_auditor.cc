@@ -1,8 +1,7 @@
 #include "src/fault/invariant_auditor.h"
 
 #include <array>
-#include <iterator>
-#include <unordered_map>
+#include <cstdint>
 #include <utility>
 
 #include "src/common/check.h"
@@ -66,17 +65,22 @@ AuditReport InvariantAuditor::Audit(SimTime now, const TieredMemory& memory,
     }
   }
 
-  // (3) Walk every LRU list, recording which (node, list) each page claims to be on.
-  // Duplicates across or within lists are violations; leftovers after the page-table walk
-  // below are stale entries.
-  std::unordered_map<const PageInfo*, std::pair<NodeId, LruMembership>> on_lru;
+  // (3) Walk every LRU list, recording which node each page claims to be on (node + 1 in
+  // a flat table keyed by the page's arena index; 0 = not on a list). Duplicates across
+  // or within lists are violations; entries the page-table walk below does not cross off
+  // are stale. Every list links pages of the one machine-wide arena.
+  const PageArena* arena = lrus.empty() ? nullptr : lrus.front().active().arena();
+  std::vector<uint8_t> on_lru(arena != nullptr ? arena->size() : 0, 0);
+  uint64_t listed = 0;
   for (NodeId node = 0; node < num_nodes && static_cast<size_t>(node) < lrus.size(); ++node) {
     const NodeLru& lru = lrus[static_cast<size_t>(node)];
     for (const LruMembership membership : {LruMembership::kActive, LruMembership::kInactive}) {
       const PageList& list =
           membership == LruMembership::kActive ? lru.active() : lru.inactive();
+      CHECK(list.arena() == arena) << "LRU lists link pages of different arenas";
       for (const PageInfo* page = list.Head(); page != nullptr; page = list.Next(page)) {
-        if (!on_lru.emplace(page, std::make_pair(node, membership)).second) {
+        uint8_t& entry = on_lru[page->arena];
+        if (entry != 0) {
           violate(SimError("page on more than one LRU position", now)
                       .Add("owner", page->owner)
                       .Add("vpn", page->vpn)
@@ -84,6 +88,8 @@ AuditReport InvariantAuditor::Audit(SimTime now, const TieredMemory& memory,
                       .Add("list", MembershipName(membership)));
           continue;
         }
+        entry = static_cast<uint8_t>(node + 1);
+        ++listed;
         if (!page->present()) {
           violate(SimError("non-present page on LRU list", now)
                       .Add("owner", page->owner)
@@ -152,14 +158,15 @@ AuditReport InvariantAuditor::Audit(SimTime now, const TieredMemory& memory,
         if (page.Has(kPageMigrating)) {
           ++migrating_units;
         }
-        const auto it = on_lru.find(&page);
-        if (it == on_lru.end()) {
+        uint8_t* entry = page.arena < on_lru.size() ? &on_lru[page.arena] : nullptr;
+        if (entry == nullptr || *entry == 0) {
           violate(SimError("present unit missing from every LRU list", now)
                       .Add("owner", page.owner)
                       .Add("vpn", page.vpn)
                       .Add("node", page.node));
         } else {
-          on_lru.erase(it);
+          *entry = 0;
+          --listed;
         }
       }
     }
@@ -173,23 +180,23 @@ AuditReport InvariantAuditor::Audit(SimTime now, const TieredMemory& memory,
       }
     }
   }
-  if (!on_lru.empty()) {
-    // Report the stale entry with the smallest (owner, vpn) so the violation
-    // message is identical across runs regardless of hash-map layout.
-    auto it = on_lru.begin();  // detlint:allow(unordered-iter) reduced below to the min (owner, vpn) entry
-    for (auto walk = std::next(it); walk != on_lru.end(); ++walk) {
-      const auto lhs = std::make_pair(walk->first->owner, walk->first->vpn);
-      const auto rhs = std::make_pair(it->first->owner, it->first->vpn);
-      if (lhs < rhs) {
-        it = walk;
+  if (listed > 0) {
+    // Report the stale entry with the smallest (owner, vpn), so the message does not
+    // depend on arena registration order.
+    const PageInfo* first = nullptr;
+    for (uint32_t idx = 0; idx < on_lru.size(); ++idx) {
+      const PageInfo* page = arena->page(idx);
+      if (on_lru[idx] != 0 &&
+          (first == nullptr || std::make_pair(page->owner, page->vpn) <
+                                   std::make_pair(first->owner, first->vpn))) {
+        first = page;
       }
     }
-    const auto& [page, where] = *it;
     violate(SimError("stale LRU entries (pages not in any page table walk)", now)
-                .Add("count", on_lru.size())
-                .Add("first_owner", page->owner)
-                .Add("first_vpn", page->vpn)
-                .Add("node", where.first));
+                .Add("count", listed)
+                .Add("first_owner", first->owner)
+                .Add("first_vpn", first->vpn)
+                .Add("node", on_lru[first->arena] - 1));
   }
 
   // (1) Frame accounting: what the tier thinks is handed out must equal walked residency

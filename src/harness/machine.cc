@@ -165,6 +165,11 @@ std::vector<std::string> MachineConfig::Validate() const {
 }
 
 namespace {
+// How many buffered ops ahead the replay loop hints a translation's TLB slot; the
+// PageInfo the slot names is hinted at half this distance. Several fast-lane ops cover
+// one host cache miss, so the lines arrive before the op that needs them.
+constexpr size_t kTranslationPrefetchDistance = 16;
+
 std::vector<TierSpec> ScaleBandwidth(std::vector<TierSpec> tiers, double scale) {
   if (scale > 1.0) {
     for (TierSpec& spec : tiers) {
@@ -395,6 +400,9 @@ void Machine::Run(SimDuration duration) {
     }
     queue_.RunUntil(horizon);
   }
+  // Every Run exit leaves the oracle current: whoever reads it next (figure harvest code,
+  // tests) sees every access made so far.
+  arena_.ApplyLoggedAccesses();
 }
 
 SimDuration Machine::RunToCompletion(SimDuration max_duration) {
@@ -451,18 +459,36 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
         break;
       }
     }
+    if (lane_enabled) {
+      // Two-stage translation prefetch over the buffered ops: the TLB slot of the op a
+      // full distance ahead, and the PageInfo named by the slot of the op half as far
+      // ahead (its slot line was hinted half a distance ago). Hints only; see
+      // TranslationCache::PrefetchSlot.
+      const size_t ahead = binding.cursor + kTranslationPrefetchDistance;
+      if (ahead < binding.count) {
+        tlb.PrefetchSlot(binding.ops[ahead].vaddr / kBasePageSize);
+      }
+      const size_t half = binding.cursor + kTranslationPrefetchDistance / 2;
+      if (half < binding.count) {
+        tlb.PrefetchUnit(binding.ops[half].vaddr / kBasePageSize);
+      }
+    }
     const MemOp& op = binding.ops[binding.cursor++];
     SimDuration spent = op.think_time + process.access_delay();
     if (spent > 0) {
       metrics_.CountThinkTime(spent);
     }
-    // Inlined AccessMemory: identical lane check and charge sequence, minus the call.
+    // Lane check: a cached translation whose unit still satisfies the fast-path flag mask
+    // (present, not PROT_NONE, not migrating) skips VMA resolution and fault handling
+    // entirely. PEBS sampling charges inside CompleteAccess, so PEBS policies like Memtis
+    // keep the fast lane instead of forcing every access down the slow path.
     const uint64_t vpn = op.vaddr / kBasePageSize;
     bool fast = false;
     if (lane_enabled) {
       if (PageInfo* cached = tlb.Lookup(vpn)) {
         if ((cached->flags & TranslationCache::kFastPathMask) == kPagePresent) {
-          spent += FastPathAccess(process, *cached, vpn, op.is_store);
+          spent += CompleteAccess(process, *cached, vpn, op.is_store, /*latency=*/0,
+                                  /*fast_lane=*/true);
           fast = true;
         } else {
           // Stale entry (poisoned, migrating, or demand-fault pending): drop it and take
@@ -483,25 +509,23 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
   }
 }
 
-SimDuration Machine::FastPathAccess(Process& process, PageInfo& unit, uint64_t vpn,
-                                    bool is_store) {
-  // Mirrors the tail of the slow path exactly for a present, non-PROT_NONE, non-migrating
-  // unit: device charge (incl. hop penalty + link congestion), accessed/dirty maintenance,
-  // store-generation bump, oracle bookkeeping, PEBS sampling, metrics. Any divergence here
-  // breaks the TLB-on/off equivalence contract (tests/tlb_test.cc).
+SimDuration Machine::CompleteAccess(Process& process, PageInfo& unit, uint64_t vpn,
+                                    bool is_store, SimDuration latency, bool fast_lane) {
   const SimTime now = std::max(process.clock(), queue_.now());
-  SimDuration latency = memory_.AccessLatency(unit.node, is_store);
+  // Device access: tier latency plus the topology hop penalty and any (capped) queueing
+  // delay on a saturated endpoint link.
+  latency += memory_.AccessLatency(unit.node, is_store);
   const SimDuration queued = memory_.ChargeAccessCongestion(unit.node, now);
   latency += queued;
 
   unit.Set(kPageAccessed);
   if (is_store) {
     unit.Set(kPageDirty);
+    // Advance the store generation: an in-flight migration copy of this unit is now stale
+    // and will abort at its commit check.
     ++unit.write_gen;
   }
-  ColdPage& cold = arena_.cold(unit);
-  cold.last_access = now;
-  ++cold.access_count;
+  arena_.LogAccess(unit.arena);
   if (unit.node != kFastNode) {
     unit.Set(kPageOracleTouchedSlow);
   }
@@ -519,7 +543,7 @@ SimDuration Machine::FastPathAccess(Process& process, PageInfo& unit, uint64_t v
   }
   EmitTrace(tracer_.get(), TraceCategory::kAccess, TraceEventType::kAccess, now,
             process.pid(), unit.vpn, unit.node, kInvalidNode, is_store ? 1 : 0,
-            /*fast_lane=*/1, queued);
+            fast_lane ? 1 : 0, queued);
   return latency;
 }
 
@@ -544,28 +568,6 @@ Machine::TlbCounters Machine::TlbStats() const {
     total.invalidations += tlb.invalidations();
   }
   return total;
-}
-
-SimDuration Machine::AccessMemory(Process& process, uint64_t vaddr, bool is_store) {
-  const uint64_t vpn = vaddr / kBasePageSize;
-
-  // Fast lane: a cached translation whose unit still satisfies the fast-path flag mask
-  // (present, not PROT_NONE, not migrating) skips VMA resolution and fault handling
-  // entirely. PEBS sampling charges inside the lane (FastPathAccess), so PEBS policies
-  // like Memtis keep the fast lane instead of forcing every access down the slow path.
-  // The batched replay loop in RunProcessUntil inlines this same check.
-  if (config_.enable_translation_cache) {
-    TranslationCache& tlb = process.tlb();
-    if (PageInfo* cached = tlb.Lookup(vpn)) {
-      if ((cached->flags & TranslationCache::kFastPathMask) == kPagePresent) {
-        return FastPathAccess(process, *cached, vpn, is_store);
-      }
-      // Stale entry (poisoned, migrating, or demand-fault pending): drop it and take the
-      // slow path, which re-installs once the unit settles.
-      tlb.Invalidate(vpn);
-    }
-  }
-  return SlowPathAccess(process, vpn, is_store);
 }
 
 SimDuration Machine::SlowPathAccess(Process& process, uint64_t vpn, bool is_store) {
@@ -606,38 +608,8 @@ SimDuration Machine::SlowPathAccess(Process& process, uint64_t vpn, bool is_stor
     latency += policy_->OnHintFault(process, *vma, unit, is_store, now);
   }
 
-  // Device access: tier latency plus the topology hop penalty and any (capped) queueing
-  // delay on a saturated endpoint link. Charged with the same (node, now) arguments as the
-  // fast lane so the congestion cursor advances identically on either path.
-  latency += memory_.AccessLatency(unit.node, is_store);
-  const SimDuration queued = memory_.ChargeAccessCongestion(unit.node, now);
-  latency += queued;
-
-  unit.Set(kPageAccessed);
-  if (is_store) {
-    unit.Set(kPageDirty);
-    // Advance the store generation: an in-flight migration copy of this unit is now stale
-    // and will abort at its commit check.
-    ++unit.write_gen;
-  }
-  ColdPage& cold = arena_.cold(unit);
-  cold.last_access = now;
-  ++cold.access_count;
-  if (unit.node != kFastNode) {
-    unit.Set(kPageOracleTouchedSlow);
-  }
-
-  if (pebs_active_) {
-    latency += pebs_.OnAccess(now, process.pid(), vpn, unit.node, is_store);
-  }
-
-  metrics_.CountAccess(is_store, unit.node == kFastNode, latency);
-  if (tenant_accounting_) {
-    tenants_.CountAccess(process.tenant(), latency);
-  }
-  EmitTrace(tracer_.get(), TraceCategory::kAccess, TraceEventType::kAccess, now,
-            process.pid(), unit.vpn, unit.node, kInvalidNode, is_store ? 1 : 0,
-            /*fast_lane=*/0, queued);
+  // The same tail as the fast lane, on top of any fault charges above.
+  latency = CompleteAccess(process, unit, vpn, is_store, latency, /*fast_lane=*/false);
 
   // Install the translation for the next touch. Only fully fast-lane-eligible units are
   // cached; everything else (just-poisoned, migrating, refused allocation) re-resolves.

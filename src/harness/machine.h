@@ -79,9 +79,9 @@ struct MachineConfig {
   uint32_t replay_batch_ops = 64;
 
   // Access-path fast lane: per-process software translation cache (last-hit VMA + a small
-  // direct-mapped vpn -> hotness-unit TLB) consulted at the top of AccessMemory. Results
-  // are bit-identical with it on or off (the fast lane replays exactly the slow path's
-  // present/!PROT_NONE/!migrating tail); the switch exists as the reference the
+  // direct-mapped vpn -> hotness-unit TLB) consulted by RunProcessUntil per op. Results
+  // are bit-identical with it on or off (a hit on a present/!PROT_NONE/!migrating unit
+  // runs the same access tail the slow path ends in); the switch exists as the reference the
   // TLB-on/off equivalence tests compare against.
   bool enable_translation_cache = true;
 
@@ -256,18 +256,18 @@ class Machine : private MigrationEnv {
     bool exhausted = false;
   };
 
-  // detlint:allow(dead-symbol) readable reference implementation of the inlined fast lane in RunProcessSlice
-  SimDuration AccessMemory(Process& process, uint64_t vaddr, bool is_store);
-  // Everything past the fast-lane check: VMA resolution, demand/hint faults, device
-  // charge, bookkeeping, translation install. AccessMemory is lane check + this; the
-  // batched replay loop in RunProcessUntil performs its own lane check with the TLB
-  // reference and enable flag hoisted out of the per-op loop and calls this on a miss.
+  // Everything past the fast-lane check: VMA resolution, demand/hint faults, then
+  // CompleteAccess, then translation install. The batched replay loop in RunProcessUntil
+  // performs the lane check (TLB reference and enable flag hoisted out of the per-op
+  // loop) and calls this on a miss.
   SimDuration SlowPathAccess(Process& process, uint64_t vpn, bool is_store);
-  // The fast lane: device charge + flag/metrics update for a cached, present,
-  // non-PROT_NONE, non-migrating unit. Must stay byte-for-byte equivalent to the tail of
-  // the slow path under the same conditions — including the PEBS sampling charge (`vpn`
-  // is the accessed page, which differs from unit.vpn inside a huge unit).
-  SimDuration FastPathAccess(Process& process, PageInfo& unit, uint64_t vpn, bool is_store);
+  // The access tail both lanes share, for a present unit: device and congestion charge,
+  // accessed/dirty flags and write_gen, the oracle log, PEBS sampling (`vpn` is the
+  // accessed page, which differs from unit.vpn inside a huge unit), metrics, tenant
+  // counters and the trace event. `latency` is what the access was already charged (the
+  // slow path's fault costs; 0 on the fast lane); returns it plus the tail's charges.
+  SimDuration CompleteAccess(Process& process, PageInfo& unit, uint64_t vpn, bool is_store,
+                             SimDuration latency, bool fast_lane);
   SimDuration HandleDemandFault(Process& process, Vma& vma, PageInfo& unit);
   void RunProcessUntil(Process& process, WorkloadBinding& binding, SimTime horizon);
   void ReclaimTick(SimTime now);

@@ -5,15 +5,15 @@
 // (Chrono's 4-byte CIT timestamp, AutoTiering's 8-bit LAP vector, Multi-Clock's level,
 // Memtis's PEBS counter). This struct carries all of them in a 32-byte hot record: the
 // fields the scan/access/migration paths touch every tick, packed so a 64-byte cache line
-// holds two pages. Oracle fields (last access time, access count) live in a parallel cold
-// side-array owned by the PageArena (src/vm/page_arena.h) and are touched only by
-// metrics/tests — never by a TieringPolicy and never on the replay hot path's cache lines.
+// holds two pages. The oracle access count lives in a parallel cold side-array owned by the
+// PageArena (src/vm/page_arena.h) and is read only by metrics/tests — never by a
+// TieringPolicy. The access path logs the page's arena index and the arena applies the
+// counts in batches, so the cold record is never on an access's own critical path.
 
 #pragma once
 
 #include <cstdint>
 
-#include "src/common/time.h"
 #include "src/mem/tier.h"
 
 namespace chronotier {
@@ -138,7 +138,6 @@ static_assert(sizeof(PackedPid) == 1 && sizeof(PackedNode) == 1);
 // and kept off the scan path's cache lines. Indexed by PageInfo::arena in the PageArena's
 // cold side-array.
 struct ColdPage {
-  SimTime last_access = kNeverTime;
   uint64_t access_count = 0;
 };
 

@@ -36,7 +36,7 @@ class Process {
   const AddressSpace& aspace() const { return aspace_; }
 
   // Software translation cache (the access-path fast lane). Maintained by the machine:
-  // consulted at the top of AccessMemory, invalidated wherever unit state changes.
+  // consulted per op by Machine::RunProcessUntil, invalidated wherever unit state changes.
   TranslationCache& tlb() { return tlb_; }
   const TranslationCache& tlb() const { return tlb_; }
 

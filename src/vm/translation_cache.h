@@ -65,6 +65,17 @@ class TranslationCache {
 
   void Insert(uint64_t vpn, PageInfo* unit) { slots_[vpn & (kEntries - 1)] = unit; }
 
+  // Host-cache hints for an access a few ops ahead, issued in two stages: first the slot
+  // `vpn` maps to, then (once that line has arrived) the unit the slot names. Pure
+  // __builtin_prefetch — no hit/miss/invalidation counter moves and no state changes, so
+  // a hint cannot alter any simulated outcome; a stale or aliased slot only warms a line.
+  void PrefetchSlot(uint64_t vpn) const { __builtin_prefetch(&slots_[vpn & (kEntries - 1)]); }
+  void PrefetchUnit(uint64_t vpn) const {
+    if (const PageInfo* unit = slots_[vpn & (kEntries - 1)]) {
+      __builtin_prefetch(unit, /*rw=*/1);
+    }
+  }
+
   // Drops the entry translating `vpn` (if cached). An aliased entry for a different vpn
   // in the same slot is left alone — Lookup's Covers() check already rejects it for this
   // vpn, so it is not a stale translation of anything in the invalidated range.

@@ -2,8 +2,8 @@
 //
 // The load-bearing claim: a run with the translation cache enabled is *bit-identical* to
 // the same run with it disabled — same metrics, same migration commit sequence, same
-// residency samples — because the fast lane replays exactly the slow path's tail for
-// eligible units. The equivalence tests check that across the full policy lineup,
+// residency samples — because a hit on an eligible unit runs the same access tail the slow
+// path ends in. The equivalence tests check that across the full policy lineup,
 // including migration-heavy and fault-injected schedules. The stale-translation tests pin
 // down the invalidation points individually: PROT_NONE poisoning must still fault, and a
 // huge-group split must stop tail vpns from resolving to the stale group head.
@@ -74,7 +74,7 @@ Machine::TlbCounters ExpectTlbEquivalence(ExperimentConfig config,
 
   ExpectResultsIdentical(on, off, "policy=" + named.name);
   // Every policy takes the fast lane now, including PEBS-driven Memtis: the sampler's
-  // per-access charge is replayed inside FastPathAccess, so an active sampler no longer
+  // per-access charge sits in the shared access tail, so an active sampler no longer
   // forces the slow path. The equivalence above would be vacuous otherwise.
   EXPECT_GT(counters.hits, 0u) << named.name << ": fast lane never engaged";
   return counters;
@@ -260,6 +260,45 @@ TEST(TlbStaleTranslationTest, HugeSplitRemapsTailVpns) {
       << "post-split accesses must land on the tail's own base page";
   EXPECT_EQ(machine.arena().cold(head).access_count, head_count_before)
       << "post-split tail accesses must not aggregate to the old group head";
+}
+
+// The oracle's access counts are logged on the access path and applied in batches; every
+// Machine::Run exit must leave them complete. Per page the log only defers the count, so
+// at each exit the counts summed over the arena equal the accesses the processes made,
+// whichever lane served them.
+TEST(OracleConservationTest, CountsMatchCompletedAccessesAtEveryRunExit) {
+  for (const bool tlb_on : {true, false}) {
+    MachineConfig config = MachineConfig::StandardTwoTier(16384, 0.25);
+    config.enable_translation_cache = tlb_on;
+    Machine machine(config, StandardPolicySet(FastGeometry()).back().make());
+    for (const int pid : {0, 1}) {
+      PmbenchConfig w;
+      w.working_set_bytes = 6144 * kBasePageSize;
+      w.read_ratio = 0.7;
+      w.per_op_delay = kMicrosecond;
+      w.sequential_init = true;
+      Process& process = machine.CreateProcess("pm" + std::to_string(pid));
+      machine.AttachWorkload(process, std::make_unique<PmbenchStream>(w), 7 + pid);
+    }
+    machine.Start();
+    uint64_t accesses = 0;
+    for (const SimDuration slice : {kMillisecond / 3, 700 * kMillisecond, 1300 * kMillisecond,
+                                    kSecond, 37 * kMillisecond}) {
+      machine.Run(slice);
+      uint64_t counted = 0;
+      for (uint32_t i = 0; i < machine.arena().size(); ++i) {
+        counted += machine.arena().cold(i).access_count;
+      }
+      uint64_t completed = 0;
+      for (const auto& process : machine.processes()) {
+        completed += process->completed_accesses();
+      }
+      EXPECT_EQ(counted, completed) << "tlb=" << tlb_on << " after a run ending at "
+                                    << machine.now();
+      EXPECT_GT(completed, accesses) << "every slice makes progress";
+      accesses = completed;
+    }
+  }
 }
 
 // --- TranslationCache unit tests ---
