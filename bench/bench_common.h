@@ -16,8 +16,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/table.h"
 #include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
@@ -205,11 +207,13 @@ struct MatrixRow {
 
 // Runs |rows| x |policies| independent experiments through the parallel runner and returns
 // results indexed [row][policy], in input order (bit-identical to the serial nested loop
-// the figure benches used to run). `inspect`/`finish` apply to every cell and must only
-// touch the machine/result they are handed — cells run concurrently.
+// the figure benches used to run). Jobs come from --jobs; when --trace is active every
+// cell records its own trace with "<row>-<policy>"-suffixed export paths.
+// `inspect`/`finish` apply to every cell and must only touch the machine/result they are
+// handed — cells run concurrently.
 inline std::vector<std::vector<ExperimentResult>> RunMatrix(
     const std::vector<MatrixRow>& rows, const std::vector<NamedPolicyFactory>& policies,
-    int jobs, const Experiment::InspectFn& inspect = nullptr,
+    const BenchFlags& flags, const Experiment::InspectFn& inspect = nullptr,
     const Experiment::FinishFn& finish = nullptr) {
   std::vector<ExperimentJob> batch;
   batch.reserve(rows.size() * policies.size());
@@ -217,35 +221,7 @@ inline std::vector<std::vector<ExperimentResult>> RunMatrix(
     for (const NamedPolicyFactory& policy : policies) {
       batch.push_back(ExperimentJob{row.label + "/" + policy.name, row.config, policy.make,
                                     row.processes, inspect, finish});
-    }
-  }
-  std::vector<ExperimentResult> flat = RunExperiments(batch, jobs);
-  std::vector<std::vector<ExperimentResult>> shaped(rows.size());
-  for (size_t r = 0; r < rows.size(); ++r) {
-    shaped[r].assign(std::make_move_iterator(flat.begin() + r * policies.size()),
-                     std::make_move_iterator(flat.begin() + (r + 1) * policies.size()));
-  }
-  return shaped;
-}
-
-// RunMatrix with the shared bench flags: jobs from --jobs, and when --trace is active
-// every cell records its own trace with "<row>-<policy>"-suffixed export paths.
-inline std::vector<std::vector<ExperimentResult>> RunMatrix(
-    const std::vector<MatrixRow>& rows, const std::vector<NamedPolicyFactory>& policies,
-    const BenchFlags& flags, const Experiment::InspectFn& inspect = nullptr,
-    const Experiment::FinishFn& finish = nullptr) {
-  if (!flags.trace.enabled) {
-    return RunMatrix(rows, policies, flags.jobs, inspect, finish);
-  }
-  std::vector<MatrixRow> traced_rows = rows;
-  std::vector<ExperimentJob> batch;
-  batch.reserve(rows.size() * policies.size());
-  for (MatrixRow& row : traced_rows) {
-    for (const NamedPolicyFactory& policy : policies) {
-      ExperimentConfig config = row.config;
-      ApplyTraceFlags(config, flags, row.label + "-" + policy.name);
-      batch.push_back(ExperimentJob{row.label + "/" + policy.name, config, policy.make,
-                                    row.processes, inspect, finish});
+      ApplyTraceFlags(batch.back().config, flags, row.label + "-" + policy.name);
     }
   }
   std::vector<ExperimentResult> flat = RunExperiments(batch, flags.jobs);
@@ -255,6 +231,33 @@ inline std::vector<std::vector<ExperimentResult>> RunMatrix(
                      std::make_move_iterator(flat.begin() + (r + 1) * policies.size()));
   }
   return shaped;
+}
+
+// One cell of a run-twice sweep.
+struct MatrixCell {
+  std::string row;
+  std::string policy;
+  ExperimentResult result;
+};
+
+// The soak benches' determinism check: runs the matrix twice through RunMatrix and
+// CHECK-fails unless every cell replays identically in every result field, naming the
+// row, the policy and the first differing field. Appends the first run's cells to
+// |cells| in row-major order.
+inline void RunMatrixTwice(const std::vector<MatrixRow>& rows,
+                           const std::vector<NamedPolicyFactory>& policies,
+                           const BenchFlags& flags, const Experiment::FinishFn& finish,
+                           std::vector<MatrixCell>& cells) {
+  auto first = RunMatrix(rows, policies, flags, nullptr, finish);
+  const auto second = RunMatrix(rows, policies, flags, nullptr, finish);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t i = 0; i < policies.size(); ++i) {
+      const std::string diff = FirstResultDifference(first[r][i], second[r][i]);
+      CHECK(diff.empty()) << "diverged across identical runs (row=" << rows[r].label
+                          << ", policy=" << policies[i].name << "): " << diff;
+      cells.push_back({rows[r].label, policies[i].name, std::move(first[r][i])});
+    }
+  }
 }
 
 // Miniature-machine factor: 256 GB testbed / 256 MB simulated.

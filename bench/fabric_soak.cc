@@ -13,8 +13,8 @@
 //   4ep-clean:     base chaos faults only, no fabric plan — asserts every fabric counter
 //                  is exactly zero (the fabric layer is inert when not scheduled)
 //
-// Everything runs twice and is checked bit-identical (commit hash, throughput, FMAR, and
-// all fabric counters): fault-domain recovery must be exactly as deterministic as the
+// Everything runs twice and is checked bit-identical in every result field
+// (RunMatrixTwice): fault-domain recovery must be exactly as deterministic as the
 // healthy fabric.
 
 #include <cstdio>
@@ -133,29 +133,6 @@ void CheckHotRemoveRun(ct::Machine& machine, ct::ExperimentResult& result) {
       << "policy " << result.policy_name << " evacuated nothing from a populated endpoint";
 }
 
-struct Cell {
-  std::string row;
-  std::string policy;
-  ct::ExperimentResult result;
-};
-
-void CheckBitIdentical(const ct::ExperimentResult& a, const ct::ExperimentResult& b,
-                       const std::string& row, const std::string& policy) {
-  const auto context = [&] { return " (row=" + row + ", policy=" + policy + ")"; };
-  CHECK(a.migration_commit_hash == b.migration_commit_hash)
-      << "commit-sequence hash diverged across identical runs" << context();
-  CHECK(a.throughput_ops == b.throughput_ops)
-      << "throughput diverged across identical runs" << context();
-  CHECK(a.fmar == b.fmar) << "FMAR diverged across identical runs" << context();
-  CHECK(a.links_down == b.links_down && a.endpoint_failures == b.endpoint_failures)
-      << "fabric fault counters diverged across identical runs" << context();
-  CHECK(a.evacuated_pages == b.evacuated_pages &&
-        a.evacuation_refused == b.evacuation_refused)
-      << "evacuation counters diverged across identical runs" << context();
-  CHECK(a.reroutes == b.reroutes && a.reroute_parks == b.reroute_parks)
-      << "re-route counters diverged across identical runs" << context();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -221,31 +198,14 @@ int main(int argc, char** argv) {
     remove_rows.push_back(std::move(row));
   }
 
-  const auto remove_first =
-      ct::RunMatrix(remove_rows, policies, flags, nullptr, CheckHotRemoveRun);
-  const auto remove_second =
-      ct::RunMatrix(remove_rows, policies, flags.jobs, nullptr, CheckHotRemoveRun);
-  const auto chaos_first = ct::RunMatrix(chaos_rows, policies, flags, nullptr, CheckSoakRun);
-  const auto chaos_second =
-      ct::RunMatrix(chaos_rows, policies, flags.jobs, nullptr, CheckSoakRun);
-
-  std::vector<Cell> cells;
-  const auto collect = [&](const std::vector<ct::MatrixRow>& rows, const auto& first,
-                           const auto& second) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      for (size_t i = 0; i < policies.size(); ++i) {
-        CheckBitIdentical(first[r][i], second[r][i], rows[r].label, policies[i].name);
-        cells.push_back({rows[r].label, policies[i].name, first[r][i]});
-      }
-    }
-  };
-  collect(chaos_rows, chaos_first, chaos_second);
-  collect(remove_rows, remove_first, remove_second);
+  std::vector<ct::MatrixCell> cells;
+  ct::RunMatrixTwice(chaos_rows, policies, flags, CheckSoakRun, cells);
+  ct::RunMatrixTwice(remove_rows, policies, flags, CheckHotRemoveRun, cells);
   std::printf("determinism: %zu configurations bit-identical across two runs\n\n",
               cells.size());
 
   // The clean row proves the fabric layer is inert when nothing is scheduled.
-  for (const Cell& cell : cells) {
+  for (const ct::MatrixCell& cell : cells) {
     if (cell.row != "4ep-clean") {
       continue;
     }
@@ -257,7 +217,7 @@ int main(int argc, char** argv) {
 
   ct::TextTable table({"row", "policy", "committed", "reroutes", "parks", "links down",
                        "ep fails", "evacuated", "refused", "audits"});
-  for (const Cell& cell : cells) {
+  for (const ct::MatrixCell& cell : cells) {
     const ct::ExperimentResult& r = cell.result;
     table.AddRow({cell.row, cell.policy, std::to_string(r.migrations_committed),
                   std::to_string(r.reroutes), std::to_string(r.reroute_parks),
@@ -282,7 +242,7 @@ int main(int argc, char** argv) {
     json.Field("quick", quick);
     json.Key("runs");
     json.BeginArray();
-    for (const Cell& cell : cells) {
+    for (const ct::MatrixCell& cell : cells) {
       const ct::ExperimentResult& r = cell.result;
       json.BeginObject();
       json.Field("row", cell.row);

@@ -13,8 +13,8 @@
 // Each topology runs the six paper policies plus endpoint_aware_hotness (the placement
 // policy from src/policies that weighs hotness against endpoint distance and live link
 // congestion). Reported per cell: throughput, FMAR, p99, congestion totals, and the
-// routed-copy counters. Every configuration is run twice and checked bit-identical
-// (commit-sequence hash + every reported metric) — the N-tier machine must be exactly as
+// routed-copy counters. Every configuration is run twice and checked bit-identical in
+// every result field (RunMatrixTwice) — the N-tier machine must be exactly as
 // deterministic as the two-tier one. Results go to BENCH_topology.json.
 //
 // Expected shape: throughput degrades as endpoints deepen (hop latency + shared links);
@@ -28,38 +28,10 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "src/common/check.h"
 #include "src/common/json.h"
 #include "src/topology/topology.h"
 
 namespace ct = chronotier;
-
-namespace {
-
-struct Cell {
-  int endpoints;
-  std::string policy;
-  ct::ExperimentResult result;
-};
-
-void CheckBitIdentical(const ct::ExperimentResult& a, const ct::ExperimentResult& b,
-                       int endpoints, const std::string& policy) {
-  const auto context = [&] {
-    return " (endpoints=" + std::to_string(endpoints) + ", policy=" + policy + ")";
-  };
-  CHECK(a.migration_commit_hash == b.migration_commit_hash)
-      << "commit-sequence hash diverged across identical runs" << context();
-  CHECK(a.throughput_ops == b.throughput_ops)
-      << "throughput diverged across identical runs" << context();
-  CHECK(a.fmar == b.fmar) << "FMAR diverged across identical runs" << context();
-  CHECK(a.congested_accesses == b.congested_accesses &&
-        a.congestion_queued_ns == b.congestion_queued_ns)
-      << "congestion counters diverged across identical runs" << context();
-  CHECK(a.multi_hop_copies == b.multi_hop_copies && a.multi_hop_legs == b.multi_hop_legs)
-      << "routed-copy counters diverged across identical runs" << context();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_topology.json";
@@ -97,16 +69,8 @@ int main(int argc, char** argv) {
   }
 
   ct::PrintBanner("Fig 14: policy x endpoint-count sweep (run twice, checked identical)");
-  const auto first = ct::RunMatrix(rows, policies, flags);
-  const auto second = ct::RunMatrix(rows, policies, flags.jobs);
-
-  std::vector<Cell> cells;
-  for (size_t r = 0; r < rows.size(); ++r) {
-    for (size_t i = 0; i < policies.size(); ++i) {
-      CheckBitIdentical(first[r][i], second[r][i], endpoint_counts[r], policies[i].name);
-      cells.push_back({endpoint_counts[r], policies[i].name, first[r][i]});
-    }
-  }
+  std::vector<ct::MatrixCell> cells;
+  ct::RunMatrixTwice(rows, policies, flags, nullptr, cells);
   std::printf("determinism: %zu configurations bit-identical across two runs\n\n",
               cells.size());
 
@@ -116,7 +80,7 @@ int main(int argc, char** argv) {
     ct::TextTable table({"policy", "ops/s", "FMAR", "p99 ns", "congested acc",
                          "queued ms", "multi-hop copies", "legs", "committed"});
     for (size_t i = 0; i < policies.size(); ++i) {
-      const ct::ExperimentResult& result = first[r][i];
+      const ct::ExperimentResult& result = cells[r * policies.size() + i].result;
       table.AddRow(
           {policies[i].name, ct::TextTable::Num(result.throughput_ops, 0),
            ct::TextTable::Percent(result.fmar), ct::TextTable::Num(result.p99_latency_ns, 0),
@@ -142,9 +106,10 @@ int main(int argc, char** argv) {
     json.Field("quick", quick);
     json.Key("cells");
     json.BeginArray();
-    for (const Cell& cell : cells) {
+    for (size_t k = 0; k < cells.size(); ++k) {
+      const ct::MatrixCell& cell = cells[k];
       json.BeginObject();
-      json.Field("endpoints", cell.endpoints);
+      json.Field("endpoints", endpoint_counts[k / policies.size()]);
       json.Field("policy", cell.policy);
       json.Field("throughput_ops", cell.result.throughput_ops);
       json.Field("fmar", cell.result.fmar);

@@ -1,7 +1,7 @@
 // Figure 15 (tiering extension): multi-tenant isolation under admission QoS.
 //
-// Four row families, every one run twice and checked bit-identical down to the
-// per-tenant counters:
+// Four row families, every one run twice and checked bit-identical in every result
+// field, per-tenant rows included (RunMatrixTwice):
 //
 //   tenants-N:   scaling sweep, N in {1,4,16,64} declared tenants (quick: {1,8}), each
 //                tenant one open-loop TenantKv server under the "fair-share" program,
@@ -128,41 +128,6 @@ void CheckRun(ct::Machine& machine, ct::ExperimentResult& result) {
   CHECK_LE(retired, result.migrations_submitted + result.inflight_at_measure_start +
                         machine.migration().inflight_transactions())
       << "policy " << result.policy_name << " lost track of migrations";
-}
-
-struct Cell {
-  std::string row;
-  std::string policy;
-  ct::ExperimentResult result;
-};
-
-void CheckBitIdentical(const ct::ExperimentResult& a, const ct::ExperimentResult& b,
-                       const std::string& row, const std::string& policy) {
-  const auto context = [&] { return " (row=" + row + ", policy=" + policy + ")"; };
-  CHECK(a.migration_commit_hash == b.migration_commit_hash)
-      << "commit-sequence hash diverged across identical runs" << context();
-  CHECK(a.throughput_ops == b.throughput_ops)
-      << "throughput diverged across identical runs" << context();
-  CHECK(a.fmar == b.fmar) << "FMAR diverged across identical runs" << context();
-  CHECK(a.migrations_submitted == b.migrations_submitted &&
-        a.migrations_committed == b.migrations_committed &&
-        a.migrations_refused == b.migrations_refused)
-      << "migration counters diverged across identical runs" << context();
-  CHECK(a.tenants.size() == b.tenants.size())
-      << "tenant row count diverged across identical runs" << context();
-  for (size_t t = 0; t < a.tenants.size(); ++t) {
-    const ct::TenantResult& x = a.tenants[t];
-    const ct::TenantResult& y = b.tenants[t];
-    CHECK(x.accesses == y.accesses && x.qos_checks == y.qos_checks &&
-          x.qos_refusals == y.qos_refusals && x.qos_admits == y.qos_admits &&
-          x.borrows == y.borrows &&
-          x.migration_pages_admitted == y.migration_pages_admitted &&
-          x.migration_bytes_admitted == y.migration_bytes_admitted &&
-          x.resident_fast_pages == y.resident_fast_pages &&
-          x.resident_total_pages == y.resident_total_pages &&
-          x.p50_latency_ns == y.p50_latency_ns && x.p99_latency_ns == y.p99_latency_ns)
-        << "tenant " << x.name << " counters diverged across identical runs" << context();
-  }
 }
 
 uint64_t SumRefusals(const ct::ExperimentResult& result) {
@@ -322,33 +287,11 @@ int main(int argc, char** argv) {
     chaos_rows.push_back(std::move(row));
   }
 
-  const auto sweep_first = ct::RunMatrix(sweep_rows, policies, flags, nullptr, CheckRun);
-  const auto sweep_second =
-      ct::RunMatrix(sweep_rows, policies, flags.jobs, nullptr, CheckRun);
-  const auto qos_first = ct::RunMatrix(qos_rows, chrono_only, flags, nullptr, CheckRun);
-  const auto qos_second = ct::RunMatrix(qos_rows, chrono_only, flags.jobs, nullptr, CheckRun);
-  const auto nn_first = ct::RunMatrix(nn_rows, linux_nb_only, flags, nullptr, CheckRun);
-  const auto nn_second =
-      ct::RunMatrix(nn_rows, linux_nb_only, flags.jobs, nullptr, CheckRun);
-  const auto chaos_first = ct::RunMatrix(chaos_rows, chrono_only, flags, nullptr, CheckRun);
-  const auto chaos_second =
-      ct::RunMatrix(chaos_rows, chrono_only, flags.jobs, nullptr, CheckRun);
-
-  std::vector<Cell> cells;
-  const auto collect = [&](const std::vector<ct::MatrixRow>& rows,
-                           const std::vector<ct::NamedPolicyFactory>& lineup,
-                           const auto& first, const auto& second) {
-    for (size_t r = 0; r < rows.size(); ++r) {
-      for (size_t i = 0; i < lineup.size(); ++i) {
-        CheckBitIdentical(first[r][i], second[r][i], rows[r].label, lineup[i].name);
-        cells.push_back({rows[r].label, lineup[i].name, first[r][i]});
-      }
-    }
-  };
-  collect(sweep_rows, policies, sweep_first, sweep_second);
-  collect(qos_rows, chrono_only, qos_first, qos_second);
-  collect(nn_rows, linux_nb_only, nn_first, nn_second);
-  collect(chaos_rows, chrono_only, chaos_first, chaos_second);
+  std::vector<ct::MatrixCell> cells;
+  ct::RunMatrixTwice(sweep_rows, policies, flags, CheckRun, cells);
+  ct::RunMatrixTwice(qos_rows, chrono_only, flags, CheckRun, cells);
+  ct::RunMatrixTwice(nn_rows, linux_nb_only, flags, CheckRun, cells);
+  ct::RunMatrixTwice(chaos_rows, chrono_only, flags, CheckRun, cells);
   std::printf("determinism: %zu configurations bit-identical across two runs "
               "(per-tenant counters included)\n\n",
               cells.size());
@@ -356,7 +299,7 @@ int main(int argc, char** argv) {
   // Scaling sweep table.
   {
     ct::TextTable table({"row", "policy", "ops/s", "FMAR", "committed", "qos refusals"});
-    for (const Cell& cell : cells) {
+    for (const ct::MatrixCell& cell : cells) {
       if (cell.row.rfind("tenants-", 0) != 0) {
         continue;
       }
@@ -372,7 +315,7 @@ int main(int argc, char** argv) {
   // QoS program comparison table (Chrono, 8 tenants, identical budgets).
   {
     ct::TextTable table({"row", "ops/s", "qos checks", "refusals", "admits", "borrows"});
-    for (const Cell& cell : cells) {
+    for (const ct::MatrixCell& cell : cells) {
       if (cell.row.rfind("qos-", 0) != 0 && cell.row != "chaos") {
         continue;
       }
@@ -391,8 +334,8 @@ int main(int argc, char** argv) {
   }
 
   // Noisy-neighbor band: find the three victim rows and assert the isolation story.
-  const auto find_cell = [&](const std::string& row) -> const Cell& {
-    for (const Cell& cell : cells) {
+  const auto find_cell = [&](const std::string& row) -> const ct::MatrixCell& {
+    for (const ct::MatrixCell& cell : cells) {
       if (cell.row == row) {
         return cell;
       }
@@ -465,7 +408,7 @@ int main(int argc, char** argv) {
     json.EndObject();
     json.Key("runs");
     json.BeginArray();
-    for (const Cell& cell : cells) {
+    for (const ct::MatrixCell& cell : cells) {
       const ct::ExperimentResult& r = cell.result;
       json.BeginObject();
       json.Field("row", cell.row);

@@ -1,5 +1,8 @@
 #include "src/harness/experiment.h"
 
+#include <bit>
+#include <charconv>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -196,6 +199,71 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config,
     finish(machine, result);
   }
   return result;
+}
+
+namespace {
+
+template <typename T>
+std::string Render(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);  // Round-trips.
+  } else {
+    return std::to_string(v);
+  }
+}
+
+// "" when a and b are identical, else the path below the field to the first difference
+// and both values: ": 1 vs 2", "[3]: 1 vs 2", ".size(): 0 vs 1", "[0].borrows: 1 vs 2".
+template <typename T>
+std::string Difference(const T& a, const T& b);
+
+template <typename S, typename Fields>
+std::string FieldDifference(const Fields& fields, const S& a, const S& b) {
+  std::string diff;
+  ForEachField(fields, [&](const auto& field) {
+    if (diff.empty()) {
+      const std::string below = Difference(a.*field.member, b.*field.member);
+      if (!below.empty()) {
+        diff = field.name + below;
+      }
+    }
+  });
+  return diff;
+}
+
+template <typename T>
+std::string Difference(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, TenantResult>) {
+    const std::string diff = FieldDifference(kTenantResultFields, a, b);
+    return diff.empty() ? diff : "." + diff;
+  } else if constexpr (std::is_same_v<T, std::string> || std::is_arithmetic_v<T>) {
+    bool equal = a == b;
+    if constexpr (std::is_same_v<T, double>) {
+      // By bit pattern: identical is the contract, so a NaN matches itself.
+      equal = std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+    }
+    return equal ? "" : ": " + Render(a) + " vs " + Render(b);
+  } else {
+    if (a.size() != b.size()) {
+      return ".size(): " + Render(a.size()) + " vs " + Render(b.size());
+    }
+    for (size_t i = 0; i < a.size(); ++i) {
+      const std::string below = Difference(a[i], b[i]);
+      if (!below.empty()) {
+        return "[" + Render(i) + "]" + below;
+      }
+    }
+    return "";
+  }
+}
+
+}  // namespace
+
+std::string FirstResultDifference(const ExperimentResult& a, const ExperimentResult& b) {
+  return FieldDifference(kExperimentResultFields, a, b);
 }
 
 std::vector<double> NormalizeToFirst(const std::vector<double>& values) {

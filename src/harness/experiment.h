@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/harness/machine.h"
@@ -154,6 +155,114 @@ struct ExperimentResult {
   // Per-tenant rows (empty unless the experiment declared tenants).
   std::vector<TenantResult> tenants;
 };
+
+// The field lists: every field of TenantResult and ExperimentResult, in declaration
+// order. FirstResultDifference, the seed-golden fingerprint and the benches' run-twice
+// checks all walk these, so a listed field is compared everywhere; the static_asserts
+// below fail the build when a struct gains a field its list lacks.
+template <typename S, typename T>
+struct ResultField {
+  const char* name;
+  T S::*member;
+};
+
+inline constexpr auto kTenantResultFields = [] {
+  using R = TenantResult;
+  return std::make_tuple(
+      ResultField{"name", &R::name}, ResultField{"accesses", &R::accesses},
+      ResultField{"p50_latency_ns", &R::p50_latency_ns},
+      ResultField{"p99_latency_ns", &R::p99_latency_ns},
+      ResultField{"resident_fast_pages", &R::resident_fast_pages},
+      ResultField{"resident_total_pages", &R::resident_total_pages},
+      ResultField{"qos_checks", &R::qos_checks}, ResultField{"qos_refusals", &R::qos_refusals},
+      ResultField{"qos_admits", &R::qos_admits}, ResultField{"borrows", &R::borrows},
+      ResultField{"migration_pages_admitted", &R::migration_pages_admitted},
+      ResultField{"migration_bytes_admitted", &R::migration_bytes_admitted});
+}();
+
+inline constexpr auto kExperimentResultFields = [] {
+  using R = ExperimentResult;
+  return std::make_tuple(
+      ResultField{"policy_name", &R::policy_name}, ResultField{"elapsed", &R::elapsed},
+      ResultField{"throughput_ops", &R::throughput_ops},
+      ResultField{"avg_latency_ns", &R::avg_latency_ns},
+      ResultField{"median_latency_ns", &R::median_latency_ns},
+      ResultField{"p99_latency_ns", &R::p99_latency_ns},
+      ResultField{"read_avg_ns", &R::read_avg_ns}, ResultField{"write_avg_ns", &R::write_avg_ns},
+      ResultField{"fmar", &R::fmar}, ResultField{"kernel_time_fraction", &R::kernel_time_fraction},
+      ResultField{"context_switches_per_sec", &R::context_switches_per_sec},
+      ResultField{"promoted_pages", &R::promoted_pages},
+      ResultField{"demoted_pages", &R::demoted_pages},
+      ResultField{"promotion_events", &R::promotion_events},
+      ResultField{"thrash_events", &R::thrash_events}, ResultField{"hint_faults", &R::hint_faults},
+      ResultField{"migrations_submitted", &R::migrations_submitted},
+      ResultField{"migrations_committed", &R::migrations_committed},
+      ResultField{"migrations_aborted", &R::migrations_aborted},
+      ResultField{"migrations_refused", &R::migrations_refused},
+      ResultField{"migration_mean_attempts", &R::migration_mean_attempts},
+      ResultField{"copy_bandwidth_utilization", &R::copy_bandwidth_utilization},
+      ResultField{"congested_accesses", &R::congested_accesses},
+      ResultField{"congestion_queued_ns", &R::congestion_queued_ns},
+      ResultField{"multi_hop_copies", &R::multi_hop_copies},
+      ResultField{"multi_hop_legs", &R::multi_hop_legs},
+      ResultField{"migrations_parked", &R::migrations_parked},
+      ResultField{"faults_injected_transient", &R::faults_injected_transient},
+      ResultField{"faults_injected_persistent", &R::faults_injected_persistent},
+      ResultField{"frames_quarantined", &R::frames_quarantined},
+      ResultField{"alloc_refusals", &R::alloc_refusals},
+      ResultField{"emergency_reclaims", &R::emergency_reclaims},
+      ResultField{"pressure_spikes", &R::pressure_spikes},
+      ResultField{"stall_windows", &R::stall_windows}, ResultField{"links_down", &R::links_down},
+      ResultField{"endpoint_failures", &R::endpoint_failures},
+      ResultField{"evacuated_pages", &R::evacuated_pages},
+      ResultField{"evacuation_refused", &R::evacuation_refused},
+      ResultField{"reroutes", &R::reroutes}, ResultField{"reroute_parks", &R::reroute_parks},
+      ResultField{"inflight_at_measure_start", &R::inflight_at_measure_start},
+      ResultField{"audits_run", &R::audits_run},
+      ResultField{"migration_commit_hash", &R::migration_commit_hash},
+      ResultField{"trace_events_dropped", &R::trace_events_dropped},
+      ResultField{"sample_times", &R::sample_times},
+      ResultField{"residency_percent", &R::residency_percent},
+      ResultField{"tenants", &R::tenants});
+}();
+
+namespace result_fields_internal {
+
+// Converts to any field type; named only inside the unevaluated brace-init checks below.
+struct AnyField {
+  template <typename T>
+  operator T() const;
+};
+
+// The number of fields of aggregate T: the longest AnyField list that brace-initialises it.
+template <typename T, typename... Fields>
+constexpr size_t FieldCount() {
+  if constexpr (requires { T{Fields{}..., AnyField{}}; }) {
+    return FieldCount<T, Fields..., AnyField>();
+  } else {
+    return sizeof...(Fields);
+  }
+}
+
+}  // namespace result_fields_internal
+
+static_assert(result_fields_internal::FieldCount<TenantResult>() ==
+                  std::tuple_size_v<decltype(kTenantResultFields)>,
+              "TenantResult has a field kTenantResultFields does not list");
+static_assert(result_fields_internal::FieldCount<ExperimentResult>() ==
+                  std::tuple_size_v<decltype(kExperimentResultFields)>,
+              "ExperimentResult has a field kExperimentResultFields does not list");
+
+// Calls fn(field) for every entry of a field list, in order.
+template <typename Fields, typename Fn>
+void ForEachField(const Fields& fields, Fn&& fn) {
+  std::apply([&fn](const auto&... field) { (fn(field), ...); }, fields);
+}
+
+// Empty when a and b are identical in every listed field (tenant rows included, doubles
+// by bit pattern). Otherwise the first differing field and both values, e.g.
+// "fmar: 0.8041 vs 0.8043" or "tenants[1].qos_refusals: 12 vs 13".
+std::string FirstResultDifference(const ExperimentResult& a, const ExperimentResult& b);
 
 class Experiment {
  public:

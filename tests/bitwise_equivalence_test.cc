@@ -7,15 +7,19 @@
 //     single simulated outcome. Every schedule below was run on the pre-refactor seed
 //     layout (96-byte PageInfo, pointer-linked LRU) and its full ExperimentResult was
 //     folded into an FNV-1a fingerprint; the same schedules must reproduce the same
-//     fingerprints forever. The fingerprint covers the numeric scalar fields (all but
-//     inflight_at_measure_start) plus the residency time series, so a one-ULP drift in
-//     any latency average fails loudly.
+//     fingerprints forever. The fingerprint folds the field list (kExperimentResultFields,
+//     src/harness/experiment.h) minus policy_name, inflight_at_measure_start and the
+//     tenant rows, so a one-ULP drift in any latency average fails loudly.
 //
 //  2. *Replay equivalence*: batched access replay (Machine::RunProcessUntil pulling N ops
 //     per refill through AccessStream::FillBatch) is bit-identical to single-step replay.
 //     Streams are machine-state independent — an op sequence depends only on the stream's
 //     own state and its Rng — so prefetching ops ahead of execution is invisible. Checked
-//     field-for-field (ExpectResultsIdentical) across the same schedule matrix.
+//     over the whole field list, tenant rows included (FirstResultDifference), across the
+//     same schedule matrix.
+//
+// A third test pins the field list itself: perturbing any one field must be named by
+// FirstResultDifference and, outside the three exclusions, move the fingerprint.
 //
 // Schedules deliberately cover the paths where layout/replay bugs would hide: all seven
 // policies (the six-figure lineup plus the N-endpoint placement policy), a many-VMA
@@ -25,11 +29,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "src/core/standard_policies.h"
@@ -56,62 +63,38 @@ uint64_t MixDouble(uint64_t h, double v) {
   return Mix(h, bits);
 }
 
-// FNV-1a over the result's fields in declaration order, except policy_name,
-// inflight_at_measure_start and the tenants rows: the goldens were recorded without them,
-// and folding them in would move every golden. Doubles are folded by bit pattern: "close"
-// is not "identical", and identical is the contract.
+// Fields the goldens were recorded without; folding them in would move every golden.
+bool IsFingerprinted(std::string_view field) {
+  return field != "policy_name" && field != "inflight_at_measure_start" && field != "tenants";
+}
+
+template <typename T>
+uint64_t Fold(uint64_t h, const T& v) {
+  if constexpr (std::is_same_v<T, double>) {
+    return MixDouble(h, v);
+  } else if constexpr (std::is_integral_v<T>) {
+    return Mix(h, static_cast<uint64_t>(v));
+  } else if constexpr (std::is_same_v<T, TenantResult>) {
+    ForEachField(kTenantResultFields, [&](const auto& field) { h = Fold(h, v.*field.member); });
+    return h;
+  } else {
+    for (const auto& element : v) {  // Elements only: the goldens fold no lengths.
+      h = Fold(h, element);
+    }
+    return h;
+  }
+}
+
+// FNV-1a over kExperimentResultFields in list (= declaration) order, minus the
+// IsFingerprinted exclusions. Doubles are folded by bit pattern: "close" is not
+// "identical", and identical is the contract.
 uint64_t Fingerprint(const ExperimentResult& r) {
   uint64_t h = 1469598103934665603ull;
-  h = Mix(h, static_cast<uint64_t>(r.elapsed));
-  h = MixDouble(h, r.throughput_ops);
-  h = MixDouble(h, r.avg_latency_ns);
-  h = MixDouble(h, r.median_latency_ns);
-  h = MixDouble(h, r.p99_latency_ns);
-  h = MixDouble(h, r.read_avg_ns);
-  h = MixDouble(h, r.write_avg_ns);
-  h = MixDouble(h, r.fmar);
-  h = MixDouble(h, r.kernel_time_fraction);
-  h = MixDouble(h, r.context_switches_per_sec);
-  h = Mix(h, r.promoted_pages);
-  h = Mix(h, r.demoted_pages);
-  h = Mix(h, r.promotion_events);
-  h = Mix(h, r.thrash_events);
-  h = Mix(h, r.hint_faults);
-  h = Mix(h, r.migrations_submitted);
-  h = Mix(h, r.migrations_committed);
-  h = Mix(h, r.migrations_aborted);
-  h = Mix(h, r.migrations_refused);
-  h = MixDouble(h, r.migration_mean_attempts);
-  h = MixDouble(h, r.copy_bandwidth_utilization);
-  h = Mix(h, r.congested_accesses);
-  h = Mix(h, r.congestion_queued_ns);
-  h = Mix(h, r.multi_hop_copies);
-  h = Mix(h, r.multi_hop_legs);
-  h = Mix(h, r.migrations_parked);
-  h = Mix(h, r.faults_injected_transient);
-  h = Mix(h, r.faults_injected_persistent);
-  h = Mix(h, r.frames_quarantined);
-  h = Mix(h, r.alloc_refusals);
-  h = Mix(h, r.emergency_reclaims);
-  h = Mix(h, r.pressure_spikes);
-  h = Mix(h, r.stall_windows);
-  h = Mix(h, r.links_down);
-  h = Mix(h, r.endpoint_failures);
-  h = Mix(h, r.evacuated_pages);
-  h = Mix(h, r.evacuation_refused);
-  h = Mix(h, r.reroutes);
-  h = Mix(h, r.reroute_parks);
-  h = Mix(h, r.audits_run);
-  h = Mix(h, r.migration_commit_hash);
-  h = Mix(h, r.trace_events_dropped);
-  for (const SimTime t : r.sample_times) {
-    h = Mix(h, static_cast<uint64_t>(t));
-  }
-  for (const auto& series : r.residency_percent) {
-    for (const double v : series) {
-      h = MixDouble(h, v);
+  ForEachField(kExperimentResultFields, [&](const auto& field) {
+    if (IsFingerprinted(field.name)) {
+      h = Fold(h, r.*field.member);
     }
-  }
+  });
   return h;
 }
 
@@ -341,8 +324,8 @@ TEST(SoaSeedEquivalenceTest, TenantKvSchedule) {
 //
 // replay_batch_ops = 1 is single-step replay (the seed behaviour); any larger batch must
 // be bit-identical because streams are machine-state independent: prefetching ops cannot
-// observe anything the ops themselves would have changed. Compared field-for-field, not
-// by fingerprint, so a divergence names the exact field.
+// observe anything the ops themselves would have changed. Compared over the field list,
+// not by fingerprint, so a divergence names the exact field.
 
 void ExpectBatchEquivalence(const std::string& key, ExperimentConfig config,
                             const NamedPolicyFactory& named,
@@ -396,6 +379,52 @@ TEST(BatchReplayEquivalenceTest, FabricFaultSchedule) {
   ExpectBatchEquivalence("fabric/Chrono", FabricExperiment(),
                          FindPolicy(TopologyPolicySet(FastGeometry()), "Chrono"),
                          GaussianProcs(2, /*read_ratio=*/0.6));
+}
+
+TEST(BatchReplayEquivalenceTest, Tenants) {
+  ExpectBatchEquivalence("tenants/Chrono", TenantExperiment(),
+                         FindPolicy(TopologyPolicySet(FastGeometry()), "Chrono"),
+                         TenantKvProcs(4));
+}
+
+// --- field-list coverage ---
+
+// Changes one field: numbers by one ULP or one, strings and vectors by one element
+// (a default tenant row for `tenants`).
+template <typename T>
+void Perturb(T& v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    v = std::nextafter(v, 1.0);
+  } else if constexpr (std::is_integral_v<T>) {
+    v += 1;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    v += "x";
+  } else if constexpr (!std::is_same_v<T, TenantResult>) {
+    Perturb(v.emplace_back());
+  }
+}
+
+TEST(ResultFieldListTest, EveryFieldIsComparedAndFingerprinted) {
+  const ExperimentResult base;
+  EXPECT_EQ(FirstResultDifference(base, base), "");
+  ForEachField(kExperimentResultFields, [&base](const auto& field) {
+    ExperimentResult changed = base;
+    Perturb(changed.*field.member);
+    const std::string diff = FirstResultDifference(base, changed);
+    EXPECT_EQ(diff.substr(0, diff.find_first_of(".:[")), field.name) << diff;
+    EXPECT_EQ(Fingerprint(changed) != Fingerprint(base), IsFingerprinted(field.name))
+        << field.name;
+  });
+
+  ExperimentResult one_row;
+  one_row.tenants.emplace_back();
+  ForEachField(kTenantResultFields, [&one_row](const auto& field) {
+    ExperimentResult changed = one_row;
+    Perturb(changed.tenants[0].*field.member);
+    const std::string diff = FirstResultDifference(one_row, changed);
+    EXPECT_EQ(diff.substr(0, diff.find(':')), "tenants[0]." + std::string(field.name));
+    EXPECT_EQ(Fingerprint(changed), Fingerprint(one_row)) << field.name;
+  });
 }
 
 }  // namespace

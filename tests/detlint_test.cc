@@ -325,7 +325,7 @@ TEST(DetlintRules, PurityMutatorCallOutsideTraceIsClean) {
   EXPECT_EQ(Lint({"src/harness/machine_api.h"}, PurityConfig()), Expected{});
 }
 
-// ---- DL013: cross-TU dead symbols (warn tier). ----
+// ---- DL013: cross-TU dead symbols. ----
 
 Config DeadSymbolConfig() {
   Config config;
@@ -339,8 +339,8 @@ TEST(DetlintRules, DeadSymbolFiresAtTheHeaderDeclaration) {
             (Expected{{"DL013", 7}}));
 }
 
-TEST(DetlintRules, DeadSymbolIsWarnTier) {
-  EXPECT_EQ(RuleById("DL013").severity, Severity::kWarn);
+TEST(DetlintRules, DeadSymbolIsErrorTier) {
+  EXPECT_EQ(RuleById("DL013").severity, Severity::kError);
   EXPECT_EQ(RuleById("DL010").severity, Severity::kError);
   EXPECT_EQ(RuleById("DL011").severity, Severity::kError);
   EXPECT_EQ(RuleById("DL012").severity, Severity::kError);

@@ -10,6 +10,7 @@
 #include "src/harness/experiment.h"
 #include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
+#include "tests/experiment_result_testutil.h"
 
 namespace chronotier {
 namespace {
@@ -165,9 +166,7 @@ TEST(IntegrationTest, DeterministicAcrossRuns) {
       Experiment::Run(SmallExperiment(), FindPolicy("Chrono"), GaussianProcs(1));
   const ExperimentResult b =
       Experiment::Run(SmallExperiment(), FindPolicy("Chrono"), GaussianProcs(1));
-  EXPECT_DOUBLE_EQ(a.throughput_ops, b.throughput_ops);
-  EXPECT_EQ(a.promoted_pages, b.promoted_pages);
-  EXPECT_EQ(a.hint_faults, b.hint_faults);
+  ExpectResultsIdentical(a, b, "Chrono run twice");
 }
 
 TEST(IntegrationTest, SeedChangesOutcomeSlightly) {

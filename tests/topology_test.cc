@@ -14,6 +14,7 @@
 #include "src/topology/congestion.h"
 #include "src/topology/topology.h"
 #include "src/workloads/patterns.h"
+#include "tests/experiment_result_testutil.h"
 
 namespace chronotier {
 namespace {
@@ -233,11 +234,7 @@ TEST(TopologyMachineTest, NEndpointRunsAreBitIdentical) {
        {TopologyPolicySet()[5], TopologyPolicySet()[6]}) {  // Chrono, endpoint_aware.
     const ExperimentResult r1 = Experiment::Run(config, policy.make, {proc});
     const ExperimentResult r2 = Experiment::Run(config, policy.make, {proc});
-    EXPECT_EQ(r1.migration_commit_hash, r2.migration_commit_hash) << policy.name;
-    EXPECT_EQ(r1.throughput_ops, r2.throughput_ops) << policy.name;
-    EXPECT_EQ(r1.congested_accesses, r2.congested_accesses) << policy.name;
-    EXPECT_EQ(r1.congestion_queued_ns, r2.congestion_queued_ns) << policy.name;
-    EXPECT_EQ(r1.multi_hop_copies, r2.multi_hop_copies) << policy.name;
+    ExpectResultsIdentical(r1, r2, policy.name);
   }
 }
 

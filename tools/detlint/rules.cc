@@ -70,7 +70,7 @@ const RuleInfo kObservationalPurity = {
     "const refs, copy into the trace ring, or move the logic to the simulation side; "
     "this is the static twin of the trace on/off bitwise-identity proof"};
 const RuleInfo kDeadSymbol = {
-    "DL013", "dead-symbol", Severity::kWarn,
+    "DL013", "dead-symbol", Severity::kError,
     "delete the function or its declaration; if it is API surface kept on purpose, "
     "annotate the declaration: // detlint:allow(dead-symbol) <why it stays>"};
 

@@ -18,7 +18,7 @@
 //   DL012 observational-purity   observer-side code calling a non-const mutator of a
 //                                watched simulation class
 //   DL013 dead-symbol            function declared in a src/ header, referenced by no
-//                                TU (warn tier)
+//                                TU
 //
 // DL010–DL013 are cross-TU: they need every analyzed file's tokens/includes at
 // once and are activated by their detlint.toml sections (layers / paths /
@@ -43,7 +43,7 @@ namespace detlint {
 
 // Warn-tier findings are reported but do not fail the build; a rule starts at
 // kWarn while the tree is being brought to zero and is promoted once clean
-// (DL013 is the only warn-tier rule today).
+// (every rule is error-tier today).
 enum class Severity { kError, kWarn };
 
 struct RuleInfo {

@@ -15,7 +15,7 @@
 // The parser is conservative by construction: when a token sequence is
 // ambiguous it classifies toward "reference", which can only under-report
 // DL013 (a live function is never flagged because a use was missed — the
-// failure mode is a dead function surviving, acceptable at warn tier).
+// failure mode is a dead function surviving, never a live one failing the lint).
 
 #pragma once
 
@@ -64,7 +64,7 @@ std::vector<Finding> CheckObservationalPurity(
 
 // DL013: functions declared in headers under the rule's `paths` set with no
 // reference from any analyzed TU. References include preprocessor directive
-// bodies (macro-expanded calls count as uses). Warn tier.
+// bodies (macro-expanded calls count as uses).
 std::vector<Finding> CheckDeadSymbols(const std::map<std::string, LexedFile>& files,
                                       const Config& config);
 
