@@ -1,7 +1,6 @@
 #include "src/common/histogram.h"
 
 #include <algorithm>
-#include <bit>
 #include "src/common/check.h"
 
 namespace chronotier {
@@ -11,13 +10,6 @@ Log2Histogram::Log2Histogram(int num_buckets) {
   // The explicit clamp lets the compiler prove the assign() bound fits in an
   // object size; the CHECK above already rejects the clamped case at runtime.
   buckets_.assign(num_buckets > 0 ? static_cast<size_t>(num_buckets) : 1, 0);
-}
-
-int Log2Histogram::BucketFor(uint64_t value) {
-  if (value == 0) {
-    return 0;
-  }
-  return 64 - std::countl_zero(value);
 }
 
 uint64_t Log2Histogram::BucketLowerBound(int bucket) {
@@ -35,13 +27,6 @@ uint64_t Log2Histogram::BucketUpperBound(int bucket) {
     return ~0ULL;
   }
   return 1ULL << bucket;
-}
-
-void Log2Histogram::Add(uint64_t value, uint64_t count) {
-  int bucket = BucketFor(value);
-  bucket = std::min(bucket, num_buckets() - 1);
-  buckets_[static_cast<size_t>(bucket)] += count;
-  total_ += count;
 }
 
 void Log2Histogram::Clear() {

@@ -3,6 +3,8 @@
 
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -19,7 +21,12 @@ class Log2Histogram {
  public:
   explicit Log2Histogram(int num_buckets = 64);
 
-  void Add(uint64_t value, uint64_t count = 1);
+  // Inline: the machine adds every simulated access's latency to a tenant histogram.
+  void Add(uint64_t value, uint64_t count = 1) {
+    const int bucket = std::min(BucketFor(value), num_buckets() - 1);
+    buckets_[static_cast<size_t>(bucket)] += count;
+    total_ += count;
+  }
   void Clear();
 
   // Merges another histogram bucket-wise; sizes must match.
@@ -46,7 +53,9 @@ class Log2Histogram {
   // one power-of-two bucket down).
   void ShiftDownOne();
 
-  static int BucketFor(uint64_t value);
+  static int BucketFor(uint64_t value) {
+    return value == 0 ? 0 : 64 - std::countl_zero(value);
+  }
 
   // Inclusive-exclusive value range covered by a bucket.
   static uint64_t BucketLowerBound(int bucket);

@@ -41,12 +41,11 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config,
     const ProcessSpec& spec = process_specs[i];
     Process& process = machine.CreateProcess(spec.name.empty() ? "proc" : spec.name);
     process.set_default_page_kind(page_kind);
-    if (!config.tenants.empty()) {
-      CHECK(spec.tenant >= 0 && static_cast<size_t>(spec.tenant) < config.tenants.size())
-          << "process " << spec.name << " names tenant " << spec.tenant << " but only "
-          << config.tenants.size() << " are declared";
-      machine.AssignTenant(process, spec.tenant);
-    }
+    const int num_tenants = machine.tenants().num_tenants();
+    CHECK(spec.tenant >= 0 && spec.tenant < num_tenants)
+        << "process " << spec.name << " names tenant " << spec.tenant << " but only "
+        << num_tenants << " are declared";
+    machine.AssignTenant(process, spec.tenant);
     machine.AttachWorkload(process, spec.make_stream(),
                            SplitMix64(config.seed + 0x1000 + i));
   }
@@ -164,28 +163,26 @@ ExperimentResult Experiment::Run(const ExperimentConfig& config,
   result.reroutes = migration.reroutes;
   result.reroute_parks = migration.reroute_parks;
 
-  if (!config.tenants.empty()) {
-    const TenantRegistry& tenants = machine.tenants();
-    result.tenants.resize(config.tenants.size());
-    for (size_t t = 0; t < config.tenants.size(); ++t) {
-      TenantResult& row = result.tenants[t];
-      const TenantStats& stats = metrics.tenant_stats()[t];
-      const TenantAccount& account = tenants.account(static_cast<int>(t));
-      row.name = config.tenants[t].name;
-      row.accesses = stats.accesses;
-      row.p50_latency_ns = stats.access_latency.Quantile(0.50);
-      row.p99_latency_ns = stats.access_latency.Quantile(0.99);
-      row.resident_fast_pages = account.ResidentOn(0);
-      for (uint64_t resident : account.resident_pages) {
-        row.resident_total_pages += resident;
-      }
-      row.qos_checks = stats.qos_checks;
-      row.qos_refusals = stats.qos_refusals;
-      row.qos_admits = stats.qos_admits;
-      row.borrows = stats.borrows;
-      row.migration_pages_admitted = stats.migration_pages_admitted;
-      row.migration_bytes_admitted = stats.migration_bytes_admitted;
+  const TenantRegistry& tenants = machine.tenants();
+  result.tenants.resize(static_cast<size_t>(tenants.num_tenants()));
+  for (int t = 0; t < tenants.num_tenants(); ++t) {
+    TenantResult& row = result.tenants[static_cast<size_t>(t)];
+    const TenantStats& stats = metrics.tenant_stats()[static_cast<size_t>(t)];
+    const TenantAccount& account = tenants.account(t);
+    row.name = account.spec.name;
+    row.accesses = stats.accesses;
+    row.p50_latency_ns = stats.access_latency.Quantile(0.50);
+    row.p99_latency_ns = stats.access_latency.Quantile(0.99);
+    row.resident_fast_pages = account.ResidentOn(0);
+    for (uint64_t resident : account.resident_pages) {
+      row.resident_total_pages += resident;
     }
+    row.qos_checks = stats.qos_checks;
+    row.qos_refusals = stats.qos_refusals;
+    row.qos_admits = stats.qos_admits;
+    row.borrows = stats.borrows;
+    row.migration_pages_admitted = stats.migration_pages_admitted;
+    row.migration_bytes_admitted = stats.migration_bytes_admitted;
   }
 
   // End-of-run audit: every experiment, faulted or not, must finish with consistent

@@ -56,9 +56,9 @@ struct ExperimentConfig {
   // after the measured window, before `finish` runs.
   TraceConfig trace;
 
-  // Multi-tenant subsystem (src/tenant), forwarded to MachineConfig. Empty = legacy
-  // single-tenant mode (ExperimentResult::tenants stays empty). Processes pick their
-  // tenant via ProcessSpec::tenant.
+  // Multi-tenant subsystem (src/tenant), forwarded to MachineConfig. Empty = one
+  // tenant named "default" (ExperimentResult::tenants holds its one row). Processes
+  // pick their tenant via ProcessSpec::tenant.
   std::vector<TenantSpec> tenants;
 };
 
@@ -152,7 +152,7 @@ struct ExperimentResult {
   std::vector<SimTime> sample_times;
   std::vector<std::vector<double>> residency_percent;
 
-  // Per-tenant rows (empty unless the experiment declared tenants).
+  // Per-tenant rows, one per registry tenant (at least the "default" one).
   std::vector<TenantResult> tenants;
 };
 

@@ -227,13 +227,12 @@ Machine::Machine(MachineConfig config, std::unique_ptr<TieringPolicy> policy)
       injector_->set_tracer(tracer_.get());
     }
   }
-  // Tenant registry: always configured (one implicit tenant in legacy mode) so residency
-  // mirroring and the auditor's tenant check are unconditional; the admission hook and
-  // per-access accounting engage only when the config declares tenants with QoS.
-  metrics_.InitTenantStats(std::max<size_t>(config_.tenants.size(), 1));
+  // Tenant registry: residency mirroring, per-access accounting and the auditor's tenant
+  // check run on every machine; the admission hook engages only when some tenant
+  // declares a QoS program or bandwidth budget.
   tenants_.Configure(config_.tenants, &memory_);
+  metrics_.InitTenantStats(static_cast<size_t>(tenants_.num_tenants()));
   tenants_.set_stats(metrics_.mutable_tenant_stats());
-  tenant_accounting_ = tenants_.active();
   if (tracer_ != nullptr) {
     tenants_.set_tracer(tracer_.get());
   }
@@ -356,16 +355,14 @@ std::string Machine::FatalDump() const {
       }
     }
   }
-  if (tenants_.active()) {
-    for (int t = 0; t < tenants_.num_tenants(); ++t) {
-      const TenantAccount& acct = tenants_.account(t);
-      os << "\n  tenant " << t << " (" << acct.spec.name << "): resident=[";
-      for (size_t node = 0; node < acct.resident_pages.size(); ++node) {
-        os << (node == 0 ? "" : " ") << acct.resident_pages[node];
-      }
-      os << "] program=" << (acct.program != nullptr ? acct.program->name() : "-")
-         << " bandwidth_cursor=" << acct.bandwidth_cursor;
+  for (int t = 0; t < tenants_.num_tenants(); ++t) {
+    const TenantAccount& acct = tenants_.account(t);
+    os << "\n  tenant " << t << " (" << acct.spec.name << "): resident=[";
+    for (size_t node = 0; node < acct.resident_pages.size(); ++node) {
+      os << (node == 0 ? "" : " ") << acct.resident_pages[node];
     }
+    os << "] program=" << (acct.program != nullptr ? acct.program->name() : "-")
+       << " bandwidth_cursor=" << acct.bandwidth_cursor;
   }
   return os.str();
 }
@@ -538,9 +535,7 @@ SimDuration Machine::CompleteAccess(Process& process, PageInfo& unit, uint64_t v
   }
 
   metrics_.CountAccess(is_store, unit.node == kFastNode, latency);
-  if (tenant_accounting_) {
-    tenants_.CountAccess(process.tenant(), latency);
-  }
+  tenants_.CountAccess(process.tenant(), latency);
   EmitTrace(tracer_.get(), TraceCategory::kAccess, TraceEventType::kAccess, now,
             process.pid(), unit.vpn, unit.node, kInvalidNode, is_store ? 1 : 0,
             fast_lane ? 1 : 0, queued);
@@ -788,37 +783,35 @@ uint64_t Machine::ReclaimFastTier(uint64_t refill_target) {
   // over its declared fast-tier budget. While a tenant has excess, the pass keeps going
   // even past the free-page target, its pages lose their second chance, and each demotion
   // pays the excess down — over-budget squatters drain even if they keep touching their
-  // pages, and the admission-side budget then refuses their way back in. Empty (and
-  // `draining` false) unless the config declares tenants with budget-reading programs,
-  // keeping the legacy reclaim path bit-identical.
-  std::vector<int64_t> budget_excess;
+  // pages, and the admission-side budget then refuses their way back in. All zero
+  // unless some tenant runs a budget-reading program and sits over its budget.
+  std::vector<int64_t> budget_excess(static_cast<size_t>(tenants_.num_tenants()), 0);
   int64_t draining = 0;
-  if (tenant_accounting_) {
-    budget_excess.assign(static_cast<size_t>(tenants_.num_tenants()), 0);
-    for (int t = 0; t < tenants_.num_tenants(); ++t) {
-      if (tenants_.OverBudget(t, kFastNode)) {
-        const TenantAccount& acct = tenants_.account(t);
-        budget_excess[static_cast<size_t>(t)] = static_cast<int64_t>(
-            acct.ResidentOn(kFastNode) - acct.BudgetFor(kFastNode));
-        draining += budget_excess[static_cast<size_t>(t)];
-      }
+  for (int t = 0; t < tenants_.num_tenants(); ++t) {
+    if (tenants_.OverBudget(t, kFastNode)) {
+      const TenantAccount& acct = tenants_.account(t);
+      budget_excess[static_cast<size_t>(t)] = static_cast<int64_t>(
+          acct.ResidentOn(kFastNode) - acct.BudgetFor(kFastNode));
+      draining += budget_excess[static_cast<size_t>(t)];
     }
   }
+  // Only a pass that started with a tenant over budget looks up page owners.
+  const bool any_over_budget = draining > 0;
+  // The tenant whose budget excess demoting `page` would pay down, or -1.
+  const auto targeted_tenant = [this, &budget_excess](const PageInfo& page) {
+    const Process* owner = ProcessByPid(page.owner);
+    if (owner == nullptr || budget_excess[static_cast<size_t>(owner->tenant())] <= 0) {
+      return -1;
+    }
+    return owner->tenant();
+  };
 
   while ((fast.free_pages() < refill_target || draining > 0) && demoted < batch_limit &&
          eligible > 0) {
     PageInfo* page = fast_lru.inactive().Tail();
     --eligible;
     ++examined;
-    int targeted = -1;  // Tenant whose budget excess this page would pay down, if any.
-    if (!budget_excess.empty()) {
-      if (const Process* owner = ProcessByPid(page->owner)) {
-        const int tenant = owner->tenant();
-        if (budget_excess[static_cast<size_t>(tenant)] > 0) {
-          targeted = tenant;
-        }
-      }
-    }
+    const int targeted = any_over_budget ? targeted_tenant(*page) : -1;
     if (page->accessed() && targeted < 0) {
       // Second chance: referenced since deactivation, back to active.
       page->ClearFlag(kPageAccessed);
@@ -856,19 +849,13 @@ uint64_t Machine::ReclaimFastTier(uint64_t refill_target) {
   // sit on the active list and never age to the inactive tail, so excess that survived
   // the inactive pass is drained from the active list directly (the analogue of cgroup
   // targeted reclaim walking the offending cgroup's own LRU). Within-budget tenants'
-  // pages are rotated, not demoted. Skipped entirely in legacy mode (draining == 0).
+  // pages are rotated, not demoted. Skipped entirely when no tenant is over budget.
   size_t active_eligible = draining > 0 ? fast_lru.active().size() : 0;
   while (draining > 0 && demoted < batch_limit && active_eligible > 0) {
     PageInfo* page = fast_lru.active().Tail();
     --active_eligible;
     ++examined;
-    int targeted = -1;
-    if (const Process* owner = ProcessByPid(page->owner)) {
-      const int tenant = owner->tenant();
-      if (budget_excess[static_cast<size_t>(tenant)] > 0) {
-        targeted = tenant;
-      }
-    }
+    const int targeted = targeted_tenant(*page);
     if (targeted < 0 || page->Has(kPageUnevictable) || page->Has(kPageMigrating)) {
       fast_lru.active().Rotate(page);
       continue;
@@ -996,10 +983,8 @@ void Machine::ReclaimTick(SimTime now) {
   // or a squatter on an otherwise idle machine would never drain.
   MemoryTier& fast = memory_.node(kFastNode);
   bool budget_pressure = false;
-  if (tenant_accounting_) {
-    for (int t = 0; t < tenants_.num_tenants() && !budget_pressure; ++t) {
-      budget_pressure = tenants_.OverBudget(t, kFastNode);
-    }
+  for (int t = 0; t < tenants_.num_tenants() && !budget_pressure; ++t) {
+    budget_pressure = tenants_.OverBudget(t, kFastNode);
   }
   if (!fast.BelowHighWatermark() && !budget_pressure) {
     return;
@@ -1058,28 +1043,26 @@ void Machine::FillTelemetrySample(SimTime now, TelemetrySample* sample) const {
   sample->tlb_hit_rate =
       lookups == 0 ? 0.0 : static_cast<double>(tlb.hits) / static_cast<double>(lookups);
 
-  // Per-tenant rows (only on machines that declared tenants, so legacy telemetry schemas
-  // are unchanged): occupancy, verdict counters, and p50/p99 access latency.
-  if (tenants_.active()) {
-    const std::vector<TenantStats>& tenant_stats = metrics_.tenant_stats();
-    sample->tenants.reserve(static_cast<size_t>(tenants_.num_tenants()));
-    for (int t = 0; t < tenants_.num_tenants(); ++t) {
-      const TenantAccount& acct = tenants_.account(t);
-      const TenantStats& stats = tenant_stats[static_cast<size_t>(t)];
-      TelemetrySample::Tenant row;
-      row.resident_fast = acct.ResidentOn(kFastNode);
-      row.resident_total = 0;
-      for (uint64_t pages : acct.resident_pages) {
-        row.resident_total += pages;
-      }
-      row.accesses = stats.accesses;
-      row.qos_checks = stats.qos_checks;
-      row.qos_refusals = stats.qos_refusals;
-      row.borrows = stats.borrows;
-      row.p50_latency_ns = stats.access_latency.Quantile(0.50);
-      row.p99_latency_ns = stats.access_latency.Quantile(0.99);
-      sample->tenants.push_back(row);
+  // Per-tenant rows, one per registry tenant ("default" when none were declared):
+  // occupancy, verdict counters, and p50/p99 access latency.
+  const std::vector<TenantStats>& tenant_stats = metrics_.tenant_stats();
+  sample->tenants.reserve(static_cast<size_t>(tenants_.num_tenants()));
+  for (int t = 0; t < tenants_.num_tenants(); ++t) {
+    const TenantAccount& acct = tenants_.account(t);
+    const TenantStats& stats = tenant_stats[static_cast<size_t>(t)];
+    TelemetrySample::Tenant row;
+    row.resident_fast = acct.ResidentOn(kFastNode);
+    row.resident_total = 0;
+    for (uint64_t pages : acct.resident_pages) {
+      row.resident_total += pages;
     }
+    row.accesses = stats.accesses;
+    row.qos_checks = stats.qos_checks;
+    row.qos_refusals = stats.qos_refusals;
+    row.borrows = stats.borrows;
+    row.p50_latency_ns = stats.access_latency.Quantile(0.50);
+    row.p99_latency_ns = stats.access_latency.Quantile(0.99);
+    sample->tenants.push_back(row);
   }
 }
 

@@ -103,12 +103,11 @@ struct MachineConfig {
   // with tracing on or off (tests/trace_test.cc).
   TraceConfig trace;
 
-  // Multi-tenant subsystem (src/tenant). Empty (the default) = single-tenant legacy mode:
-  // one implicit unlimited tenant, no admission hook, no per-access tenant accounting —
-  // the machine replays the exact pre-tenant path. Non-empty declares the tenants
-  // processes are assigned to (Machine::AssignTenant / ProcessSpec::tenant); per-tenant
-  // residency budgets and QoS programs then gate migration admission, and per-tenant
-  // counters flow into Metrics, telemetry rows, and ExperimentResult.
+  // Multi-tenant subsystem (src/tenant): the tenants processes are assigned to
+  // (Machine::AssignTenant / ProcessSpec::tenant). Empty (the default) declares one
+  // unlimited tenant named "default" that every process joins. Per-tenant counters flow
+  // into Metrics, telemetry rows and ExperimentResult on every machine; residency budgets
+  // and QoS programs, when declared, gate migration admission.
   std::vector<TenantSpec> tenants;
 
   // Configuration validation, run at Machine construction (CHECK-fatal on any error).
@@ -216,7 +215,7 @@ class Machine : private MigrationEnv {
   // The fault injector, or nullptr when config.fault.enabled is false.
   FaultInjector* fault_injector() { return injector_.get(); }  // detlint:allow(dead-symbol) test access point for mid-run fault control
 
-  // The tenant registry (always configured; single implicit tenant in legacy mode).
+  // The tenant registry (one "default" tenant unless the config declares tenants).
   TenantRegistry& tenants() { return tenants_; }
   const TenantRegistry& tenants() const { return tenants_; }
 
@@ -304,7 +303,6 @@ class Machine : private MigrationEnv {
   std::unique_ptr<MigrationEngine> engine_;  // After metrics_: stats live there.
   std::unique_ptr<FaultInjector> injector_;  // Null unless config.fault.enabled.
   TenantRegistry tenants_;  // After memory_ (holds a view) and metrics_ (stats live there).
-  bool tenant_accounting_ = false;  // Per-access tenant counters; on iff tenants declared.
 
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<WorkloadBinding> bindings_;  // Indexed by pid.

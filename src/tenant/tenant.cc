@@ -157,12 +157,11 @@ void TenantRegistry::Configure(const std::vector<TenantSpec>& specs,
   CHECK(memory != nullptr);
   CHECK(accounts_.empty()) << "TenantRegistry configured twice";
   memory_ = memory;
-  active_ = !specs.empty();
   const int num_nodes = memory->num_nodes();
 
   std::vector<TenantSpec> effective = specs;
   if (effective.empty()) {
-    effective.emplace_back();  // Implicit unlimited default tenant (legacy mode).
+    effective.emplace_back();  // No tenants declared: one unlimited "default" tenant.
     effective.back().name = "default";
   }
 
@@ -225,9 +224,6 @@ void TenantRegistry::AddResident(int tenant, NodeId node, int64_t delta) {
 }
 
 bool TenantRegistry::OverBudget(int tenant, NodeId node) const {
-  if (!active_) {
-    return false;
-  }
   const TenantAccount& acct = account(tenant);
   if (acct.program == nullptr) {
     return false;  // Budgets only bind through a program.

@@ -46,9 +46,8 @@ namespace chronotier {
 inline constexpr uint64_t kTenantUnlimited = ~0ull;
 
 // One tenant's static configuration (MachineConfig::tenants). An empty tenants vector
-// means single-tenant legacy mode: every process lands in one implicit default tenant
-// with unlimited budgets and no QoS program, and the machine takes the exact pre-tenant
-// code path (no hook installed, no per-access accounting).
+// declares one tenant named "default" with unlimited budgets and no QoS program; every
+// process lands there, and it is accounted like any declared tenant.
 struct TenantSpec {
   std::string name = "tenant";
   // Residency budget per node, in base pages; entry i caps frames held on node i. Missing
@@ -158,14 +157,12 @@ class TenantRegistry : public AdmissionQosHook {
  public:
   TenantRegistry() = default;
 
-  // `specs` empty = single implicit default tenant (legacy mode, active() == false).
-  // `memory` provides the capacity/headroom view programs read; must outlive the registry.
+  // `specs` empty = one unlimited tenant named "default". `memory` provides the
+  // capacity/headroom view programs read; must outlive the registry.
   void Configure(const std::vector<TenantSpec>& specs, const TieredMemory* memory);
 
-  // True when MachineConfig declared explicit tenants (per-access accounting on).
-  bool active() const { return active_; }
   // True when any tenant has a QoS program or bandwidth budget — the condition for
-  // installing the admission hook. False keeps admission on the exact pre-tenant path.
+  // installing the admission hook. False keeps admission free of tenant verdicts.
   bool qos_active() const { return qos_active_; }
 
   int num_tenants() const { return static_cast<int>(accounts_.size()); }
@@ -192,7 +189,7 @@ class TenantRegistry : public AdmissionQosHook {
   void set_stats(std::vector<TenantStats>* stats) { stats_ = stats; }
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  // Per-access accounting (gated by the machine on active()).
+  // Per-access accounting, called on every completed access.
   void CountAccess(int tenant, SimDuration latency) {
     TenantStats& stats = (*stats_)[static_cast<size_t>(tenant)];
     ++stats.accesses;
@@ -229,7 +226,6 @@ class TenantRegistry : public AdmissionQosHook {
     return i < stats_->size() ? &(*stats_)[i] : nullptr;
   }
 
-  bool active_ = false;
   bool qos_active_ = false;
   double total_weight_ = 1.0;
   const TieredMemory* memory_ = nullptr;

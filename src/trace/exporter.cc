@@ -238,8 +238,8 @@ void WriteChromeTrace(const Tracer& tracer, std::ostream& out) {
   WriteMetadata(json, "process_name", kEnginePid, -1, "migration engine");
   WriteMetadata(json, "process_name", kDaemonsPid, -1, "daemons");
   WriteMetadata(json, "process_name", kTelemetryPid, -1, "telemetry");
-  // Tenant tracks only exist on machines with declared tenants; traces without them keep
-  // their exact byte layout.
+  // Tenant tracks exist only when the trace holds QoS verdicts, so the "tenants" process
+  // is named only then.
   for (const auto& [track, events] : tracks) {
     (void)events;
     if (track.pid == kTenantsPid) {

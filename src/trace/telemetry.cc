@@ -42,8 +42,7 @@ void TelemetrySampler::WriteCsv(std::ostream& out) const {
   }
   out << ",inflight_transactions,backlog_sync,backlog_async,backlog_reclaim,accesses,fmar,"
          "tlb_hit_rate";
-  // Tenant columns appear only when the machine declared tenants (legacy schemas are
-  // byte-identical without them); every sample carries the same tenant count.
+  // Tenant columns follow the samples' rows; every sample carries the same tenant count.
   const size_t tenants = samples_.empty() ? 0 : samples_.front().tenants.size();
   for (size_t t = 0; t < tenants; ++t) {
     out << ",tenant" << t << "_resident_fast,tenant" << t << "_resident_total,tenant" << t
@@ -113,23 +112,21 @@ void TelemetrySampler::WriteJson(std::ostream& out) const {
     json.Field("accesses", s.accesses);
     json.Field("fmar", s.fmar);
     json.Field("tlb_hit_rate", s.tlb_hit_rate);
-    if (!s.tenants.empty()) {
-      json.Key("tenants");
-      json.BeginArray();
-      for (const TelemetrySample::Tenant& tenant : s.tenants) {
-        json.BeginObject();
-        json.Field("resident_fast", tenant.resident_fast);
-        json.Field("resident_total", tenant.resident_total);
-        json.Field("accesses", tenant.accesses);
-        json.Field("qos_checks", tenant.qos_checks);
-        json.Field("qos_refusals", tenant.qos_refusals);
-        json.Field("borrows", tenant.borrows);
-        json.Field("p50_latency_ns", tenant.p50_latency_ns);
-        json.Field("p99_latency_ns", tenant.p99_latency_ns);
-        json.EndObject();
-      }
-      json.EndArray();
+    json.Key("tenants");
+    json.BeginArray();
+    for (const TelemetrySample::Tenant& tenant : s.tenants) {
+      json.BeginObject();
+      json.Field("resident_fast", tenant.resident_fast);
+      json.Field("resident_total", tenant.resident_total);
+      json.Field("accesses", tenant.accesses);
+      json.Field("qos_checks", tenant.qos_checks);
+      json.Field("qos_refusals", tenant.qos_refusals);
+      json.Field("borrows", tenant.borrows);
+      json.Field("p50_latency_ns", tenant.p50_latency_ns);
+      json.Field("p99_latency_ns", tenant.p99_latency_ns);
+      json.EndObject();
     }
+    json.EndArray();
     json.EndObject();
   }
   json.EndArray();

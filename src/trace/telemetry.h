@@ -57,9 +57,9 @@ struct TelemetrySample {
   double fmar = 0;          // Fast-memory access ratio.
   double tlb_hit_rate = 0;  // Translation-cache hit ratio (0 when the lane is off).
 
-  // Per-tenant rows (src/tenant). Empty on machines without declared tenants, so legacy
-  // time series keep their exact schema; when present, every sample carries one row per
-  // tenant in registry order (occupancy, QoS verdict counters, latency quantiles).
+  // Per-tenant rows (src/tenant): a machine's samples carry one row per registry tenant,
+  // in registry order ("default" alone when none were declared): occupancy, QoS verdict
+  // counters, latency quantiles.
   struct Tenant {
     uint64_t resident_fast = 0;   // Frames held on the fast tier.
     uint64_t resident_total = 0;  // Frames held across all nodes.

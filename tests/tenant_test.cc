@@ -52,7 +52,6 @@ TEST(TenantRegistryTest, MembershipAndResidencyMirror) {
   TenantSpec b;
   b.name = "b";
   registry.Configure({a, b}, &memory);
-  EXPECT_TRUE(registry.active());
   EXPECT_FALSE(registry.qos_active());  // No program, no bandwidth budget.
   EXPECT_EQ(registry.num_tenants(), 2);
 
@@ -75,16 +74,15 @@ TEST(TenantRegistryTest, MembershipAndResidencyMirror) {
 TEST(TenantRegistryTest, ResidencyUnderflowIsFatal) {
   TieredMemory memory = SmallMemory();
   TenantRegistry registry;
-  registry.Configure({}, &memory);  // Implicit default tenant.
+  registry.Configure({}, &memory);  // The "default" tenant.
   registry.AddResident(0, kFastNode, 1);
   EXPECT_DEATH({ registry.AddResident(0, kFastNode, -2); }, "residency underflow");
 }
 
-TEST(TenantRegistryTest, LegacyModeHasImplicitDefaultTenant) {
+TEST(TenantRegistryTest, EmptySpecListConfiguresOneDefaultTenant) {
   TieredMemory memory = SmallMemory();
   TenantRegistry registry;
   registry.Configure({}, &memory);
-  EXPECT_FALSE(registry.active());
   EXPECT_FALSE(registry.qos_active());
   EXPECT_EQ(registry.num_tenants(), 1);
   EXPECT_EQ(registry.spec(0).name, "default");
@@ -336,26 +334,59 @@ ProcessSpec Pmbench(const std::string& name, int tenant,
 }
 
 TEST(TenantMachineTest, DeclaredUnlimitedTenantIsInert) {
-  // Declaring one unlimited tenant with no program turns on per-tenant accounting but
-  // must not perturb the simulation: every result field but the tenant rows replays
-  // bit-identically against the legacy (no-tenants) run.
-  const ExperimentConfig legacy = SmallExperiment();
-  ExperimentConfig tenanted = SmallExperiment();
+  // Declaring one unlimited tenant named "default" with no program is exactly what an
+  // empty tenant list configures: the whole result, tenant row included, replays
+  // bit-identically against the run that declares no tenants.
+  const ExperimentConfig undeclared = SmallExperiment();
+  ExperimentConfig declared = SmallExperiment();
   TenantSpec tenant;
-  tenant.name = "only";
-  tenanted.tenants = {tenant};
+  tenant.name = "default";
+  declared.tenants = {tenant};
 
   const std::vector<ProcessSpec> procs = {Pmbench("a", 0), Pmbench("b", 0)};
   const ExperimentResult without =
-      Experiment::Run(legacy, FindPolicy("Chrono"), procs);
-  const ExperimentResult with = Experiment::Run(tenanted, FindPolicy("Chrono"), procs);
-  ExperimentResult with_rows_cleared = with;
-  with_rows_cleared.tenants.clear();
-  ExpectResultsIdentical(without, with_rows_cleared, "unlimited tenant vs legacy");
+      Experiment::Run(undeclared, FindPolicy("Chrono"), procs);
+  const ExperimentResult with = Experiment::Run(declared, FindPolicy("Chrono"), procs);
+  ExpectResultsIdentical(without, with, "declared default tenant vs none declared");
   ASSERT_EQ(with.tenants.size(), 1u);
   EXPECT_GT(with.tenants[0].accesses, 0u);
   EXPECT_EQ(with.tenants[0].qos_checks, 0u);  // Hook never installed.
-  EXPECT_EQ(without.tenants.size(), 0u);
+}
+
+TEST(TenantMachineTest, RowsSumToTotalAccesses) {
+  // Every measured access is charged to exactly one tenant, whether the tenants were
+  // declared or the run carries only the "default" one.
+  const auto expect_conserved = [](const ExperimentConfig& config,
+                                   const std::vector<ProcessSpec>& procs,
+                                   size_t expected_rows) {
+    Experiment::Run(config, FindPolicy("Chrono"), procs, nullptr,
+                    [expected_rows](Machine& machine, ExperimentResult& result) {
+                      ASSERT_EQ(result.tenants.size(), expected_rows);
+                      uint64_t sum = 0;
+                      for (const TenantResult& row : result.tenants) {
+                        sum += row.accesses;
+                      }
+                      EXPECT_GT(sum, 0u);
+                      EXPECT_EQ(sum, machine.metrics().total_ops());
+                    });
+  };
+
+  expect_conserved(SmallExperiment(), {Pmbench("a", 0), Pmbench("b", 0)}, 1);
+
+  ExperimentConfig two = SmallExperiment();
+  TenantSpec a;
+  a.name = "a";
+  TenantSpec b;
+  b.name = "b";
+  two.tenants = {a, b};
+  expect_conserved(two, {Pmbench("a", 0), Pmbench("b", 1)}, 2);
+}
+
+TEST(TenantMachineDeathTest, UndeclaredTenantIndexIsFatal) {
+  // With no tenants declared only tenant 0 ("default") exists; naming tenant 1 is a
+  // config error, not a silent fold into tenant 0.
+  EXPECT_DEATH(Experiment::Run(SmallExperiment(), FindPolicy("Chrono"), {Pmbench("a", 1)}),
+               "names tenant 1 but only 1 are declared");
 }
 
 TEST(TenantMachineTest, TenantAccessDelaySlowsTenant) {
@@ -479,17 +510,9 @@ TEST(TenantMachineTest, MidRunProgramSwapIsDeterministic) {
   const ExperimentResult swapped = run(/*swap=*/true);
   const ExperimentResult swapped_again = run(/*swap=*/true);
 
+  // ExpectResultsIdentical compares every tenant row field as well.
   ExpectResultsIdentical(swapped, swapped_again, "program swap replay");
   ASSERT_EQ(swapped.tenants.size(), 2u);
-  ASSERT_EQ(swapped_again.tenants.size(), 2u);
-  for (size_t t = 0; t < swapped.tenants.size(); ++t) {
-    EXPECT_EQ(swapped.tenants[t].qos_checks, swapped_again.tenants[t].qos_checks);
-    EXPECT_EQ(swapped.tenants[t].qos_refusals, swapped_again.tenants[t].qos_refusals);
-    EXPECT_EQ(swapped.tenants[t].qos_admits, swapped_again.tenants[t].qos_admits);
-    EXPECT_EQ(swapped.tenants[t].borrows, swapped_again.tenants[t].borrows);
-    EXPECT_EQ(swapped.tenants[t].migration_bytes_admitted,
-              swapped_again.tenants[t].migration_bytes_admitted);
-  }
   EXPECT_LT(swapped.tenants[0].qos_refusals, control.tenants[0].qos_refusals);
   EXPECT_GT(swapped.tenants[0].qos_admits, control.tenants[0].qos_admits);
 }
