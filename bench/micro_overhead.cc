@@ -8,9 +8,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/histogram.h"
@@ -26,6 +28,7 @@
 #include "src/migration/migration_engine.h"
 #include "src/sim/event_queue.h"
 #include "src/vm/address_space.h"
+#include "src/vm/page_arena.h"
 #include "src/vm/scanner.h"
 #include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
@@ -352,6 +355,46 @@ void BM_AuditNow(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(audits * units));
 }
 BENCHMARK(BM_AuditNow)->Unit(benchmark::kMicrosecond);
+
+// Registering a fastlane-shaped address space: 64 VMAs of 768 pages into one arena.
+// Registration is setup-time, but a workload maps every region through it, so the
+// arena's tables must grow geometrically: reserving exactly the new size on each VMA
+// recopied the whole arena once per region. CHECK-enforced like the contracts above: the
+// allocations of one full registration stay within 2 * ceil(log2(total pages)).
+void BM_RegisterVmas(benchmark::State& state) {
+  constexpr uint64_t kVmas = 64;
+  constexpr uint64_t kPagesPerVma = 768;
+  constexpr uint64_t kTotalPages = kVmas * kPagesPerVma;
+  constexpr uint64_t kMaxAllocs = 2 * std::bit_width(kTotalPages - 1);
+  uint64_t max_allocs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<std::unique_ptr<ct::Vma>> vmas;
+    for (uint64_t i = 0; i < kVmas; ++i) {
+      vmas.push_back(std::make_unique<ct::Vma>(i * 2 * kPagesPerVma, kPagesPerVma,
+                                               ct::PageSizeKind::kBase, /*owner=*/0));
+    }
+    auto arena = std::make_unique<ct::PageArena>();
+    state.ResumeTiming();
+    const uint64_t allocs_before = g_heap_allocs.load();
+    for (const std::unique_ptr<ct::Vma>& vma : vmas) {
+      arena->RegisterVma(vma.get());
+    }
+    max_allocs = std::max(max_allocs, g_heap_allocs.load() - allocs_before);
+    benchmark::DoNotOptimize(arena->size());
+    state.PauseTiming();
+    arena.reset();
+    vmas.clear();
+    state.ResumeTiming();
+  }
+  CHECK_LE(max_allocs, kMaxAllocs)
+      << "registering " << kVmas << " VMAs (" << kTotalPages << " pages) allocated "
+      << max_allocs << " times — arena growth must be geometric, not per VMA";
+  state.counters["pages"] = static_cast<double>(kTotalPages);
+  state.counters["allocs_per_registration"] = static_cast<double>(max_allocs);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kTotalPages));
+}
+BENCHMARK(BM_RegisterVmas)->Unit(benchmark::kMicrosecond);
 
 // --- Migration engine ---
 

@@ -61,7 +61,7 @@ struct ClassificationStats {
   }
 };
 
-// Bounded-size uniform sample of a value stream; percentile queries sort the reservoir.
+// Bounded-size uniform sample of a value stream; percentile queries select on a copy.
 // Keeps latency reporting O(1) per access regardless of run length.
 class ReservoirSampler {
  public:
@@ -87,7 +87,8 @@ class ReservoirSampler {
     seen_ = 0;
   }
 
-  // Percentile in [0, 100]. Sorts a copy; intended for end-of-run reporting.
+  // Percentile in [0, 100], linearly interpolated between adjacent ranks. Selects on a
+  // copy in O(n); intended for end-of-run reporting.
   double Percentile(double p) const;
 
   double Mean() const;

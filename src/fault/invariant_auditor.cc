@@ -182,13 +182,16 @@ AuditReport InvariantAuditor::Audit(SimTime now, const TieredMemory& memory,
   }
   if (listed > 0) {
     // Report the stale entry with the smallest (owner, vpn), so the message does not
-    // depend on arena registration order.
+    // depend on arena registration order. Only listed entries are resolved: the padding
+    // indices between the arena's VMA groups name no page.
     const PageInfo* first = nullptr;
     for (uint32_t idx = 0; idx < on_lru.size(); ++idx) {
+      if (on_lru[idx] == 0) {
+        continue;
+      }
       const PageInfo* page = arena->page(idx);
-      if (on_lru[idx] != 0 &&
-          (first == nullptr || std::make_pair(page->owner, page->vpn) <
-                                   std::make_pair(first->owner, first->vpn))) {
+      if (first == nullptr || std::make_pair(page->owner, page->vpn) <
+                                  std::make_pair(first->owner, first->vpn)) {
         first = page;
       }
     }

@@ -437,11 +437,13 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
   if (binding.ops.size() < batch) {
     binding.ops.resize(batch);
   }
-  // Loop-invariant hoists: the TLB reference and lane flag never change mid-run, and no
-  // event fires inside this loop (faults and PEBS handlers may Push events but never run
-  // them), so the compiler keeps these in registers across the whole batch instead of
-  // re-deriving them per op behind three call frames.
+  // Loop-invariant hoists: the TLB reference, the arena's group table and the lane flag
+  // never change mid-run (no event fires inside this loop — faults and PEBS handlers may
+  // Push events but never run them — and nothing maps a region), so the compiler keeps
+  // these in registers across the whole batch instead of re-deriving them per op behind
+  // three call frames.
   TranslationCache& tlb = process.tlb();
+  const PageArena::Groups groups = arena_.groups();
   const bool lane_enabled = config_.enable_translation_cache;
   while (process.clock() < horizon) {
     if (binding.cursor == binding.count) {
@@ -467,7 +469,7 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
       }
       const size_t half = binding.cursor + kTranslationPrefetchDistance / 2;
       if (half < binding.count) {
-        tlb.PrefetchUnit(binding.ops[half].vaddr / kBasePageSize);
+        tlb.PrefetchUnit(binding.ops[half].vaddr / kBasePageSize, groups);
       }
     }
     const MemOp& op = binding.ops[binding.cursor++];
@@ -482,7 +484,7 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
     const uint64_t vpn = op.vaddr / kBasePageSize;
     bool fast = false;
     if (lane_enabled) {
-      if (PageInfo* cached = tlb.Lookup(vpn)) {
+      if (PageInfo* cached = tlb.Lookup(vpn, groups)) {
         if ((cached->flags & TranslationCache::kFastPathMask) == kPagePresent) {
           spent += CompleteAccess(process, *cached, vpn, op.is_store, /*latency=*/0,
                                   /*fast_lane=*/true);
@@ -490,7 +492,7 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
         } else {
           // Stale entry (poisoned, migrating, or demand-fault pending): drop it and take
           // the slow path, which re-installs once the unit settles.
-          tlb.Invalidate(vpn);
+          tlb.Invalidate(vpn, groups);
         }
       }
     }
@@ -551,7 +553,7 @@ void Machine::InvalidateTranslationsFor(const PageInfo& unit) {
   // group is harmless (it only evicts entries that would re-install on the next touch), so
   // the flag alone decides the range and no VMA walk is needed on this path.
   const uint64_t pages = unit.huge_head() ? kBasePagesPerHugePage : 1;
-  owner->tlb().InvalidateRange(unit.vpn, pages);
+  owner->tlb().InvalidateRange(unit.vpn, pages, arena_.groups());
 }
 
 Machine::TlbCounters Machine::TlbStats() const {
@@ -613,7 +615,7 @@ SimDuration Machine::SlowPathAccess(Process& process, uint64_t vpn, bool is_stor
   if (config_.enable_translation_cache &&
       (unit.flags & TranslationCache::kFastPathMask) == kPagePresent &&
       (!pebs_active_ || &vma->HotnessUnit(vpn) == &unit)) {
-    tlb.Insert(vpn, &unit);
+    tlb.Insert(vpn, unit);
   }
   return latency;
 }

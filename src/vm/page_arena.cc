@@ -5,25 +5,22 @@
 
 namespace chronotier {
 
-void PageArena::Append(PageInfo* page, Vma* vma) {
-  CHECK(page->arena == kNoPageIndex) << "page already registered with an arena";
-  CHECK_LT(pages_.size(), static_cast<size_t>(kNoPageIndex)) << "page arena index overflow";
-  page->arena = static_cast<uint32_t>(pages_.size());
-  // Setup-time only: Append runs during VMA registration, before the first
-  // simulated access, and RegisterVma reserves capacity up front.
-  pages_.push_back(page);        // detlint:allow(hot-path-alloc) reserved in RegisterVma
-  vma_of_.push_back(vma);        // detlint:allow(hot-path-alloc) reserved in RegisterVma
-  cold_.emplace_back();          // detlint:allow(hot-path-alloc) reserved in RegisterVma
-}
-
-void PageArena::RegisterVma(Vma* vma) {
-  const uint64_t count = vma->num_pages();
-  pages_.reserve(pages_.size() + count);
-  vma_of_.reserve(vma_of_.size() + count);
-  cold_.reserve(cold_.size() + count);
-  for (auto& page : vma->pages()) {
-    Append(&page, vma);
+void PageArena::RegisterRun(PageInfo* pages, uint64_t count) {
+  const uint64_t base = uint64_t{size()};
+  const uint64_t groups = (count + kGroupPages - 1) >> kGroupShift;
+  CHECK_LE(base + (groups << kGroupShift), uint64_t{kNoPageIndex}) << "page arena index overflow";
+  // Setup-time only: registration runs when a region maps, before its first simulated
+  // access. Both vectors grow geometrically, so n registrations reallocate O(log) times.
+  for (uint64_t g = 0; g < groups; ++g) {
+    groups_.push_back(pages + (g << kGroupShift));  // detlint:allow(hot-path-alloc) mmap-time, geometric growth
+  }
+  cold_.resize(groups_.size() << kGroupShift);  // detlint:allow(hot-path-alloc) mmap-time, geometric growth
+  for (uint64_t i = 0; i < count; ++i) {
+    CHECK(pages[i].arena == kNoPageIndex) << "page already registered with an arena";
+    pages[i].arena = static_cast<uint32_t>(base + i);
   }
 }
+
+void PageArena::RegisterVma(Vma* vma) { RegisterRun(vma->pages().data(), vma->num_pages()); }
 
 }  // namespace chronotier

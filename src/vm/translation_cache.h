@@ -2,14 +2,15 @@
 //
 // Every simulated access used to pay a full FindVma walk + HotnessUnit resolution before it
 // could charge device latency. This cache short-circuits that translation the way a
-// hardware TLB short-circuits a page-table walk: a small direct-mapped vpn -> PageInfo*
+// hardware TLB short-circuits a page-table walk: a small direct-mapped vpn -> arena-index
 // array plus a last-hit VMA pointer for the miss path. An entry maps an accessed vpn to its
 // *hotness unit* (the group head for an unsplit huge mapping), so a hit skips VMA lookup
-// entirely.
+// entirely. Slots name units by their PageArena index and resolve through the arena's
+// group table, which the caller passes in (the replay loop hoists it).
 //
 // Validity contract (see DESIGN.md "Hot path & parallel harness"):
 //   - PageInfo and Vma storage is pinned for the life of a process (Vma::pages_ never
-//     resizes, VMAs are never unmapped), so cached pointers cannot dangle.
+//     resizes, VMAs are never unmapped), so a cached index always names the same page.
 //   - An entry is installed only when the unit is present, not PROT_NONE and not owned by a
 //     migration transaction; the machine re-checks that flag mask on every hit (one load +
 //     mask on a word the access touches anyway), so a hit can never skip a demand fault, a
@@ -26,6 +27,7 @@
 #include <cstdint>
 
 #include "src/vm/page.h"
+#include "src/vm/page_arena.h"
 
 namespace chronotier {
 
@@ -35,7 +37,7 @@ class TranslationCache {
  public:
   // Direct-mapped entry count; power of two so the index is a mask. 32768 entries cover a
   // 128 MB base-page working set per process without conflict misses — comfortably above
-  // the 96 MB per-process sets the benches sweep — at 256 KB of slots per process. One
+  // the 96 MB per-process sets the benches sweep — at 128 KB of slots per process. One
   // entry per accessed vpn of a huge group keeps tail lookups O(1) too. (At 1024 entries
   // the bench workloads conflict-missed to a ~9% hit rate and the lane was a net wash.)
   static constexpr size_t kEntries = 32768;
@@ -45,66 +47,76 @@ class TranslationCache {
   static constexpr uint16_t kFastPathMask =
       kPagePresent | kPageProtNone | kPageMigrating;
 
+  // One slot is the whole entry: the cached unit's arena index, kNoPageIndex when empty.
+  using Slot = uint32_t;
+
+  TranslationCache() { slots_.fill(kNoPageIndex); }
+
   // The cached unit for `vpn`, or nullptr on miss. Callers must re-check kFastPathMask
   // before acting on the translation.
   //
-  // Slots are bare PageInfo pointers (8 B, not a {vpn, unit} pair): the unit itself
-  // records its vpn, and for an unsplit huge group the 512-aligned head covers exactly
-  // the vpns within kBasePagesPerHugePage of it, so the tag load lands on the PageInfo
-  // line the access is about to touch anyway. Half the slot footprint means half the
-  // host-cache pressure the lane adds — which is what made the 16 B variant a net wash.
-  PageInfo* Lookup(uint64_t vpn) {
-    PageInfo* unit = slots_[vpn & (kEntries - 1)];
-    if (unit != nullptr && Covers(unit, vpn)) {
-      ++hits_;
-      return unit;
+  // Slots are bare 4-byte arena indices (not {vpn, unit} pairs): the unit itself records
+  // its vpn, and for an unsplit huge group the 512-aligned head covers exactly the vpns
+  // within kBasePagesPerHugePage of it, so the tag load lands on the PageInfo line the
+  // access is about to touch anyway. The index resolves through the arena's group table,
+  // which stays L1-resident, so a slot costs a quarter of a {vpn, pointer} pair's
+  // host-cache footprint — the 16 B variant measured as a net wash.
+  PageInfo* Lookup(uint64_t vpn, PageArena::Groups groups) {
+    const Slot idx = slots_[vpn & (kEntries - 1)];
+    if (idx != kNoPageIndex) {
+      PageInfo* unit = groups.page(idx);
+      if (Covers(unit, vpn)) {
+        ++hits_;
+        return unit;
+      }
     }
     ++misses_;
     return nullptr;
   }
 
-  void Insert(uint64_t vpn, PageInfo* unit) { slots_[vpn & (kEntries - 1)] = unit; }
+  void Insert(uint64_t vpn, const PageInfo& unit) { slots_[vpn & (kEntries - 1)] = unit.arena; }
 
   // Host-cache hints for an access a few ops ahead, issued in two stages: first the slot
   // `vpn` maps to, then (once that line has arrived) the unit the slot names. Pure
   // __builtin_prefetch — no hit/miss/invalidation counter moves and no state changes, so
   // a hint cannot alter any simulated outcome; a stale or aliased slot only warms a line.
   void PrefetchSlot(uint64_t vpn) const { __builtin_prefetch(&slots_[vpn & (kEntries - 1)]); }
-  void PrefetchUnit(uint64_t vpn) const {
-    if (const PageInfo* unit = slots_[vpn & (kEntries - 1)]) {
-      __builtin_prefetch(unit, /*rw=*/1);
+  void PrefetchUnit(uint64_t vpn, PageArena::Groups groups) const {
+    const Slot idx = slots_[vpn & (kEntries - 1)];
+    if (idx != kNoPageIndex) {
+      __builtin_prefetch(groups.page(idx), /*rw=*/1);
     }
   }
 
   // Drops the entry translating `vpn` (if cached). An aliased entry for a different vpn
   // in the same slot is left alone — Lookup's Covers() check already rejects it for this
   // vpn, so it is not a stale translation of anything in the invalidated range.
-  void Invalidate(uint64_t vpn) {
-    PageInfo*& unit = slots_[vpn & (kEntries - 1)];
-    if (unit != nullptr && Covers(unit, vpn)) {
-      unit = nullptr;
+  void Invalidate(uint64_t vpn, PageArena::Groups groups) {
+    Slot& idx = slots_[vpn & (kEntries - 1)];
+    if (idx != kNoPageIndex && Covers(groups.page(idx), vpn)) {
+      idx = kNoPageIndex;
       ++invalidations_;
     }
   }
 
   // Drops every entry covering vpns [first_vpn, first_vpn + pages): the invalidation shape
   // for a hotness unit (pages = 512 for an unsplit huge group, 1 for a base page).
-  void InvalidateRange(uint64_t first_vpn, uint64_t pages) {
+  void InvalidateRange(uint64_t first_vpn, uint64_t pages, PageArena::Groups groups) {
     if (pages >= kEntries) {
       Clear();
       return;
     }
     for (uint64_t vpn = first_vpn; vpn != first_vpn + pages; ++vpn) {
-      Invalidate(vpn);
+      Invalidate(vpn, groups);
     }
   }
 
   void Clear() {
-    for (PageInfo*& unit : slots_) {
-      if (unit != nullptr) {
+    for (Slot& idx : slots_) {
+      if (idx != kNoPageIndex) {
         ++invalidations_;
       }
-      unit = nullptr;
+      idx = kNoPageIndex;
     }
   }
 
@@ -127,7 +139,7 @@ class TranslationCache {
            (unit->huge_head() && vpn - unit->vpn < kBasePagesPerHugePage);
   }
 
-  std::array<PageInfo*, kEntries> slots_ = {};
+  std::array<Slot, kEntries> slots_;
   Vma* last_vma_ = nullptr;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

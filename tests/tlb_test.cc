@@ -10,13 +10,17 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
 #include "src/harness/machine.h"
+#include "src/vm/address_space.h"
+#include "src/vm/page_arena.h"
 #include "src/vm/translation_cache.h"
 #include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
@@ -211,11 +215,11 @@ TEST(TlbStaleTranslationTest, PoisonedUnitStillFaults) {
 
   // The loop revisits the page constantly, so its translation is cached by now.
   EXPECT_GT(machine.TlbStats().hits, 0u);
-  ASSERT_EQ(process.tlb().Lookup(vpn), &unit);
+  ASSERT_EQ(process.tlb().Lookup(vpn, machine.arena().groups()), &unit);
 
   machine.PoisonUnit(unit);
   // Poisoning dropped the cached translation — the fast lane cannot skip the fault.
-  EXPECT_EQ(process.tlb().Lookup(vpn), nullptr);
+  EXPECT_EQ(process.tlb().Lookup(vpn, machine.arena().groups()), nullptr);
   ASSERT_TRUE(unit.Has(kPageProtNone));
 
   const uint64_t faults_before = machine.metrics().hint_faults();
@@ -243,13 +247,13 @@ TEST(TlbStaleTranslationTest, HugeSplitRemapsTailVpns) {
   PageInfo& head = vma->HotnessUnit(tail_vpn);
   ASSERT_TRUE(head.huge_head());
   ASSERT_NE(head.vpn, tail_vpn);
-  ASSERT_EQ(process.tlb().Lookup(tail_vpn), &head);
+  ASSERT_EQ(process.tlb().Lookup(tail_vpn, machine.arena().groups()), &head);
 
   ASSERT_TRUE(machine.SplitHugeUnit(*vma, head));
 
   // The stale head translation is gone: a fast-lane hit on it would have aggregated the
   // tail's accesses onto the (no longer covering) head unit.
-  EXPECT_EQ(process.tlb().Lookup(tail_vpn), nullptr);
+  EXPECT_EQ(process.tlb().Lookup(tail_vpn, machine.arena().groups()), nullptr);
   PageInfo& tail = vma->PageAt(tail_vpn);
   ASSERT_EQ(&vma->HotnessUnit(tail_vpn), &tail);
 
@@ -303,64 +307,100 @@ TEST(OracleConservationTest, CountsMatchCompletedAccessesAtEveryRunExit) {
 
 // --- TranslationCache unit tests ---
 
+// A slot is one arena index: half the 8-byte pointer it replaced.
+static_assert(sizeof(TranslationCache::Slot) == 4, "TLB slots are 4-byte arena indices");
+
+// Loose pages registered with a real arena, the way the machine registers VMA pages: the
+// cache stores their indices and resolves them through the arena's group table.
+struct ArenaPages {
+  explicit ArenaPages(std::initializer_list<uint64_t> vpns) : pages(vpns.size()) {
+    size_t i = 0;
+    for (const uint64_t vpn : vpns) {
+      pages[i].vpn = static_cast<uint32_t>(vpn);
+      arena.RegisterPage(&pages[i++]);
+    }
+  }
+  PageArena arena;
+  std::vector<PageInfo> pages;
+};
+
 TEST(TranslationCacheTest, LookupInsertInvalidate) {
+  ArenaPages fixture({7});
+  PageInfo& unit = fixture.pages[0];
+  const PageArena::Groups groups = fixture.arena.groups();
   TranslationCache tlb;
-  PageInfo unit;
-  unit.vpn = 7;
-  EXPECT_EQ(tlb.Lookup(7), nullptr);
-  tlb.Insert(7, &unit);
-  EXPECT_EQ(tlb.Lookup(7), &unit);
-  tlb.Invalidate(7);
-  EXPECT_EQ(tlb.Lookup(7), nullptr);
+  EXPECT_EQ(tlb.Lookup(7, groups), nullptr);
+  tlb.Insert(7, unit);
+  EXPECT_EQ(tlb.Lookup(7, groups), &unit);
+  tlb.Invalidate(7, groups);
+  EXPECT_EQ(tlb.Lookup(7, groups), nullptr);
   EXPECT_EQ(tlb.hits(), 1u);
   EXPECT_EQ(tlb.misses(), 2u);
   EXPECT_EQ(tlb.invalidations(), 1u);
 }
 
 TEST(TranslationCacheTest, DirectMappedConflictEvicts) {
+  ArenaPages fixture({3, 3 + TranslationCache::kEntries});
+  PageInfo& a = fixture.pages[0];
+  PageInfo& b = fixture.pages[1];
+  const PageArena::Groups groups = fixture.arena.groups();
   TranslationCache tlb;
-  PageInfo a;
-  a.vpn = 3;
-  PageInfo b;
-  b.vpn = 3 + TranslationCache::kEntries;
-  tlb.Insert(a.vpn, &a);
-  tlb.Insert(b.vpn, &b);  // Same slot.
-  EXPECT_EQ(tlb.Lookup(a.vpn), nullptr);
-  EXPECT_EQ(tlb.Lookup(b.vpn), &b);
+  tlb.Insert(a.vpn, a);
+  tlb.Insert(b.vpn, b);  // Same slot.
+  EXPECT_EQ(tlb.Lookup(a.vpn, groups), nullptr);
+  EXPECT_EQ(tlb.Lookup(b.vpn, groups), &b);
 }
 
 TEST(TranslationCacheTest, SlotValidatesAgainstUnitVpn) {
-  // Slots are bare pointers: an entry must only translate the vpns its unit covers. A
+  // Slots are bare indices: an entry must only translate the vpns its unit covers. A
   // base-page unit covers exactly its own vpn; a huge head covers its whole group.
-  TranslationCache tlb;
-  PageInfo base;
-  base.vpn = 9;
-  tlb.Insert(9, &base);
-  EXPECT_EQ(tlb.Lookup(9 + TranslationCache::kEntries), nullptr);  // Aliased slot, no tag.
-
-  PageInfo head;
-  head.vpn = kBasePagesPerHugePage;  // Heads are group-aligned.
+  ArenaPages fixture({9, kBasePagesPerHugePage});  // Heads are group-aligned.
+  PageInfo& base = fixture.pages[0];
+  PageInfo& head = fixture.pages[1];
   head.Set(kPageHugeHead);
+  const PageArena::Groups groups = fixture.arena.groups();
+  TranslationCache tlb;
+  tlb.Insert(9, base);
+  EXPECT_EQ(tlb.Lookup(9 + TranslationCache::kEntries, groups), nullptr);  // Aliased slot.
+
   const uint64_t tail = head.vpn + 17;
-  tlb.Insert(tail, &head);
-  EXPECT_EQ(tlb.Lookup(tail), &head);
-  // One past the group: same head pointer must not cover it.
-  tlb.Insert(head.vpn + kBasePagesPerHugePage, &head);
-  EXPECT_EQ(tlb.Lookup(head.vpn + kBasePagesPerHugePage), nullptr);
+  tlb.Insert(tail, head);
+  EXPECT_EQ(tlb.Lookup(tail, groups), &head);
+  // One past the group: the same head index must not cover it.
+  tlb.Insert(head.vpn + kBasePagesPerHugePage, head);
+  EXPECT_EQ(tlb.Lookup(head.vpn + kBasePagesPerHugePage, groups), nullptr);
 }
 
 TEST(TranslationCacheTest, InvalidateRangeCoversHugeGroup) {
-  TranslationCache tlb;
-  PageInfo head;
-  head.vpn = 0;
+  ArenaPages fixture({0});
+  PageInfo& head = fixture.pages[0];
   head.Set(kPageHugeHead);
+  const PageArena::Groups groups = fixture.arena.groups();
+  TranslationCache tlb;
   for (uint64_t vpn = 0; vpn < 8; ++vpn) {
-    tlb.Insert(vpn, &head);
+    tlb.Insert(vpn, head);
   }
-  tlb.InvalidateRange(0, kBasePagesPerHugePage);  // 512 >= 8: all entries must go.
+  tlb.InvalidateRange(0, kBasePagesPerHugePage, groups);  // 512 >= 8: all entries must go.
   for (uint64_t vpn = 0; vpn < 8; ++vpn) {
-    EXPECT_EQ(tlb.Lookup(vpn), nullptr) << "vpn " << vpn;
+    EXPECT_EQ(tlb.Lookup(vpn, groups), nullptr) << "vpn " << vpn;
   }
+}
+
+TEST(TranslationCacheTest, ResolvesUnitsOfRealVmas) {
+  // Units in VMAs whose page counts are not multiples of the arena's 64-page group: every
+  // cached index must resolve back to the exact PageInfo it was inserted for.
+  PageArena arena;
+  AddressSpace aspace(0);
+  aspace.set_arena(&arena);
+  aspace.MapRegion(100 * kBasePageSize);
+  aspace.MapRegion(37 * kBasePageSize);
+  TranslationCache tlb;
+  aspace.ForEachPage([&tlb](Vma&, PageInfo& page) { tlb.Insert(page.vpn, page); });
+  const PageArena::Groups groups = arena.groups();
+  aspace.ForEachPage([&](Vma&, PageInfo& page) {
+    EXPECT_EQ(tlb.Lookup(page.vpn, groups), &page) << "vpn " << page.vpn;
+  });
+  EXPECT_EQ(tlb.misses(), 0u);
 }
 
 TEST(TranslationCacheTest, FastPathMaskRejectsIneligibleFlags) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "src/vm/address_space.h"
 #include "src/vm/lru.h"
 #include "src/vm/page.h"
@@ -144,6 +146,48 @@ TEST(AddressSpaceTest, PageByIndexWalksVmas) {
   EXPECT_EQ(aspace.PageByIndex(8), nullptr);
   // Index 4 is the first page of the second VMA.
   EXPECT_EQ(aspace.PageByIndex(4)->vpn, aspace.vmas()[1]->start_vpn());
+}
+
+// --- PageArena ---
+
+TEST(PageArenaTest, IndexRoundTripsAcrossUnalignedVmas) {
+  // Page counts that are not multiples of the 64-page group, a one-page VMA, a huge VMA,
+  // and standalone pages registered before and after them: every index resolves back to
+  // its own PageInfo, each VMA's run starts on a group boundary and is contiguous.
+  PageArena arena;
+  PageInfo loose_first;
+  arena.RegisterPage(&loose_first);
+  AddressSpace early(1);
+  early.MapRegion(100 * kBasePageSize);  // Registered later, by set_arena.
+  AddressSpace aspace(2);
+  aspace.set_arena(&arena);
+  aspace.MapRegion(1 * kBasePageSize);
+  aspace.MapRegion(64 * kBasePageSize);
+  aspace.MapRegion(130 * kBasePageSize);
+  aspace.MapRegion(kHugePageSize, PageSizeKind::kHuge);
+  early.set_arena(&arena);
+  PageInfo loose_last;
+  arena.RegisterPage(&loose_last);
+
+  for (PageInfo* loose : {&loose_first, &loose_last}) {
+    EXPECT_EQ(loose->arena % PageArena::kGroupPages, 0u);
+    EXPECT_EQ(arena.page(loose->arena), loose);
+  }
+  uint64_t groups = 2;  // The standalone pages.
+  for (AddressSpace* space : {&aspace, &early}) {
+    for (const std::unique_ptr<Vma>& vma : space->vmas()) {
+      const uint32_t first = vma->pages().front().arena;
+      EXPECT_EQ(first % PageArena::kGroupPages, 0u) << "vma at vpn " << vma->start_vpn();
+      for (uint64_t i = 0; i < vma->num_pages(); ++i) {
+        PageInfo& page = vma->pages()[i];
+        ASSERT_EQ(page.arena, first + i);
+        ASSERT_EQ(arena.page(page.arena), &page);
+      }
+      groups += (vma->num_pages() + PageArena::kGroupPages - 1) / PageArena::kGroupPages;
+    }
+  }
+  EXPECT_EQ(arena.size(), groups * PageArena::kGroupPages);
+  EXPECT_EQ(arena.groups().page(loose_first.arena), &loose_first);
 }
 
 TEST(VmaTest, HugeMappingGroupsAndHeads) {
