@@ -69,9 +69,9 @@ void FaultInjector::StallTick(SimTime now) {
   NodeId lo = static_cast<NodeId>(rng_.NextBelow(static_cast<uint64_t>(num_nodes - 1)));
   NodeId hi = static_cast<NodeId>(
       lo + 1 + rng_.NextBelow(static_cast<uint64_t>(num_nodes - 1 - lo)));
-  // On a tree topology the drawn pair may not share a link; stall the first link on its
-  // route instead. The two RNG draws above stay unconditional so legacy complete-graph
-  // machines consume an identical random bitstream.
+  // The drawn pair may not share a link; stall the first link on its route instead. The two
+  // RNG draws above stay unconditional, so every machine consumes the same random
+  // bitstream whichever pair it draws.
   const Topology& topo = memory_->topology();
   if (topo.EdgeIndex(lo, hi) < 0) {
     const std::vector<NodeId> route = topo.Route(lo, hi);

@@ -28,7 +28,7 @@ struct ExperimentConfig {
   uint64_t total_pages = 1u << 16;  // Physical pages across both tiers.
   double fast_fraction = 0.25;      // The paper's 25%-DRAM split.
   // N-tier CXL topology (src/topology), forwarded to MachineConfig. When enabled() it
-  // replaces the StandardTwoTier tier vector entirely — total_pages/fast_fraction are
+  // replaces the StandardTwoTier star "(1,2)" entirely — total_pages/fast_fraction are
   // ignored and capacities come from the spec's per-node capacity_pages.
   TopologySpec topology;
   // Miniature-machine scaling: (testbed capacity) / (simulated capacity). Scales the

@@ -11,7 +11,8 @@ MachineConfig MachineConfig::StandardTwoTier(uint64_t total_pages, double fast_f
   MachineConfig config;
   const auto fast_pages =
       static_cast<uint64_t>(static_cast<double>(total_pages) * fast_fraction);
-  config.tiers = {TierSpec::Dram(fast_pages), TierSpec::OptanePmem(total_pages - fast_pages)};
+  config.topology = TopologySpec::Star(
+      {TierSpec::Dram(fast_pages), TierSpec::OptanePmem(total_pages - fast_pages)});
   return config;
 }
 
@@ -26,34 +27,15 @@ std::vector<std::string> MachineConfig::Validate() const {
     require(p >= 0.0 && p <= 1.0, name + " must be a probability in [0, 1]");
   };
 
-  if (topology.enabled()) {
-    // Tier specs are derived from the parsed topology tree; a separate tier vector would
-    // be ambiguous about which description wins.
-    require(tiers.empty(), "set either tiers or topology, not both");
-    Topology parsed;
-    std::string topo_error;
-    // Sequenced: the message must be built after Build() fills topo_error (argument
-    // evaluation order is unspecified).
-    const bool topo_ok = Topology::Build(topology, &parsed, &topo_error);
-    require(topo_ok, "topology: " + topo_error);
-    require(parsed.num_nodes() <= kMaxNodes,
-            "topology has " + std::to_string(parsed.num_nodes()) + " nodes; max is " +
-                std::to_string(kMaxNodes));
-  } else {
-    require(!tiers.empty(), "at least one tier is required");
-    if (!tiers.empty()) {
-      require(tiers.front().kind == TierKind::kFast, "tier 0 must be the fast tier");
-    }
-    for (size_t i = 0; i < tiers.size(); ++i) {
-      const TierSpec& spec = tiers[i];
-      const std::string which = "tier " + std::to_string(i) + " (" + spec.name + ")";
-      require(spec.capacity_pages > 0, which + ": capacity_pages must be > 0");
-      require(spec.migration_bandwidth_bytes_per_sec > 0,
-              which + ": migration bandwidth must be > 0");
-      require(spec.load_latency >= 0, which + ": load_latency must be >= 0");
-      require(spec.store_latency >= 0, which + ": store_latency must be >= 0");
-    }
-  }
+  Topology parsed;
+  std::string topo_error;
+  // Sequenced: the message must be built after Build() fills topo_error (argument
+  // evaluation order is unspecified).
+  const bool topo_ok = Topology::Build(topology, &parsed, &topo_error);
+  require(topo_ok, "topology: " + topo_error);
+  require(parsed.num_nodes() <= kMaxNodes,
+          "topology has " + std::to_string(parsed.num_nodes()) + " nodes; max is " +
+              std::to_string(kMaxNodes));
 
   require(demand_fault_cost >= 0, "demand_fault_cost must be >= 0");
   require(hint_fault_cost >= 0, "hint_fault_cost must be >= 0");
@@ -127,15 +109,8 @@ std::vector<std::string> MachineConfig::Validate() const {
                   " pages cannot honour its derived watermark floors under fault " +
                   "injection (needs >= " + std::to_string(4 * min_floor) + ")");
     };
-    if (topology.enabled()) {
-      for (size_t i = 0; i < topology.capacity_pages.size(); ++i) {
-        check_floor("topology node " + std::to_string(i), topology.capacity_pages[i]);
-      }
-    } else {
-      for (size_t i = 0; i < tiers.size(); ++i) {
-        check_floor("tier " + std::to_string(i) + " (" + tiers[i].name + ")",
-                    tiers[i].capacity_pages);
-      }
+    for (size_t i = 0; i < topology.capacity_pages.size(); ++i) {
+      check_floor("topology node " + std::to_string(i), topology.capacity_pages[i]);
     }
   }
 
@@ -145,8 +120,7 @@ std::vector<std::string> MachineConfig::Validate() const {
     require(trace.telemetry_period >= 0, "trace.telemetry_period must be >= 0");
   }
 
-  const size_t num_nodes =
-      topology.enabled() ? topology.capacity_pages.size() : tiers.size();
+  const size_t num_nodes = topology.capacity_pages.size();
   for (size_t t = 0; t < tenants.size(); ++t) {
     const TenantSpec& tenant = tenants[t];
     const std::string which = "tenants[" + std::to_string(t) + "]";
@@ -170,37 +144,19 @@ namespace {
 // one host cache miss, so the lines arrive before the op that needs them.
 constexpr size_t kTranslationPrefetchDistance = 16;
 
-std::vector<TierSpec> ScaleBandwidth(std::vector<TierSpec> tiers, double scale) {
-  if (scale > 1.0) {
-    for (TierSpec& spec : tiers) {
-      spec.migration_bandwidth_bytes_per_sec /= scale;
-    }
-  }
-  return tiers;
-}
-
-TieredMemory BuildMemory(const MachineConfig& config) {
-  if (!config.topology.enabled()) {
-    return TieredMemory(ScaleBandwidth(config.tiers, config.bandwidth_scale));
-  }
-  Topology topo;
-  std::string error;
-  CHECK(Topology::Build(config.topology, &topo, &error)) << "invalid topology: " << error;
-  // A miniature machine scales the endpoint links together with the tiers' copy engines,
-  // or congestion and routed-copy pressure become free at scale. TierSpecs() shares the
-  // parsed spec's bandwidth storage with the link model, so it must be snapshotted BEFORE
-  // the link scaling — each consumer is scaled exactly once. (Scaling the links first used
-  // to double-scale the copy engines: every topology-machine page copy ran bandwidth_scale
-  // times slower than the equivalent two-tier machine's.)
-  std::vector<TierSpec> tiers = ScaleBandwidth(topo.TierSpecs(), config.bandwidth_scale);
-  topo.ScaleBandwidth(config.bandwidth_scale);
-  return TieredMemory(std::move(tiers), std::move(topo));
+// Runs before any member is built from the config, so a bad topology reports through
+// Validate() like every other field.
+const MachineConfig& Validated(const MachineConfig& config) {
+  const std::vector<std::string> errors = config.Validate();
+  CHECK(errors.empty()) << "invalid MachineConfig (" << errors.size() << " error(s)): first: "
+                        << (errors.empty() ? "" : errors.front());
+  return config;
 }
 }  // namespace
 
 Machine::Machine(MachineConfig config, std::unique_ptr<TieringPolicy> policy)
-    : config_(config),
-      memory_(BuildMemory(config)),
+    : config_(Validated(config)),
+      memory_(config.topology, config.bandwidth_scale),
       policy_(std::move(policy)),
       pebs_(config.pebs) {
   for (int i = 0; i < memory_.num_nodes(); ++i) {
@@ -208,9 +164,6 @@ Machine::Machine(MachineConfig config, std::unique_ptr<TieringPolicy> policy)
     lrus_.back().set_arena(&arena_);
   }
   CHECK(policy_ != nullptr);
-  const std::vector<std::string> errors = config_.Validate();
-  CHECK(errors.empty()) << "invalid MachineConfig (" << errors.size() << " error(s)): first: "
-                        << (errors.empty() ? "" : errors.front());
   // The engine shares the machine's bandwidth scaling so copy CPU is charged unscaled.
   MigrationEngineConfig engine_config = config_.migration;
   engine_config.bandwidth_scale = config_.bandwidth_scale;

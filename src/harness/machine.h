@@ -34,12 +34,10 @@
 namespace chronotier {
 
 struct MachineConfig {
-  std::vector<TierSpec> tiers;
-
-  // N-tier CXL topology (src/topology). When `topology.enabled()` the tier vector is
-  // derived from the parsed tree (`tiers` must stay empty) and the machine gains hop
-  // penalties on the access path, per-endpoint link congestion, and routed multi-hop
-  // migration. Disabled (the default) keeps the legacy ordered-tier complete graph.
+  // The machine's memory (src/topology): one tier per node of the parsed tree, the root
+  // being the fast tier. Deep trees add hop penalties on the access path and routed
+  // multi-hop migration; `model_congestion` adds per-endpoint link congestion. Required:
+  // StandardTwoTier sets the star "(1,2)".
   TopologySpec topology;
 
   // Software cost model (charged to both the faulting access and kernel time).
@@ -57,8 +55,9 @@ struct MachineConfig {
 
   PebsConfig pebs;
 
-  // Divides every tier's migration bandwidth: a 1/N-scale miniature machine must also scale
-  // its copy engines by N or migration pressure becomes free. Benches use the same factor
+  // Divides every node's link bandwidth (its migration copy bandwidth and congestion service
+  // rate): a 1/N-scale miniature machine must also scale its copy engines by N or
+  // migration pressure becomes free. Benches use the same factor
   // as the capacity scaling (see EXPERIMENTS.md); unit tests keep 1.0 (testbed bandwidth).
   double bandwidth_scale = 1.0;
   // Migration-engine knobs (admission limits, retry policy). Replaces the old

@@ -59,8 +59,8 @@ class TieringPolicy {
     (void)now;
   }
 
-  // Where reclaim demotes `unit` to. Default: the next slower node (the kernel's demotion
-  // path on an ordered tier chain, and the only sensible answer on two tiers). Topology-
+  // Where reclaim demotes `unit` to. Default: the next node id (the kernel's demotion path
+  // over NUMA node order, and the only sensible answer on two tiers). Topology-
   // aware policies override this to weigh endpoint distance and live link congestion.
   // Must return a node != unit.node with spare capacity, or unit.node to veto demotion.
   virtual NodeId DemotionTarget(const TieredMemory& memory, const PageInfo& unit,

@@ -9,7 +9,6 @@ namespace chronotier {
 TierSpec TierSpec::Dram(uint64_t capacity_pages) {
   TierSpec spec;
   spec.name = "dram";
-  spec.kind = TierKind::kFast;
   spec.capacity_pages = capacity_pages;
   spec.load_latency = 80 * kNanosecond;
   spec.store_latency = 80 * kNanosecond;
@@ -20,7 +19,6 @@ TierSpec TierSpec::Dram(uint64_t capacity_pages) {
 TierSpec TierSpec::OptanePmem(uint64_t capacity_pages) {
   TierSpec spec;
   spec.name = "optane-pm";
-  spec.kind = TierKind::kSlow;
   spec.capacity_pages = capacity_pages;
   // ~200ns average load latency per the paper's testbed; Optane stores are notably more
   // expensive than loads (on-DIMM write buffering), which drives the paper's observation
@@ -34,7 +32,6 @@ TierSpec TierSpec::OptanePmem(uint64_t capacity_pages) {
 TierSpec TierSpec::CxlMemory(uint64_t capacity_pages) {
   TierSpec spec;
   spec.name = "cxl-mem";
-  spec.kind = TierKind::kSlow;
   spec.capacity_pages = capacity_pages;
   spec.load_latency = 210 * kNanosecond;
   spec.store_latency = 230 * kNanosecond;

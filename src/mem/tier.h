@@ -18,21 +18,15 @@ inline constexpr uint64_t kBasePageSize = 4096;
 inline constexpr uint64_t kHugePageSize = 2 * 1024 * 1024;
 inline constexpr uint64_t kBasePagesPerHugePage = kHugePageSize / kBasePageSize;  // 512
 
-// NUMA node id; node 0 is always the fast tier in this library.
+// NUMA node id; node 0 (the topology tree's root) is always the fast tier.
 using NodeId = int;
 inline constexpr NodeId kFastNode = 0;
 inline constexpr NodeId kSlowNode = 1;
 inline constexpr NodeId kInvalidNode = -1;
 
-enum class TierKind {
-  kFast,  // DRAM.
-  kSlow,  // NVM / CXL-attached memory.
-};
-
 // Static description of a tier's hardware characteristics.
 struct TierSpec {
   std::string name = "dram";
-  TierKind kind = TierKind::kFast;
   uint64_t capacity_pages = 0;  // In base pages.
   SimDuration load_latency = 80 * kNanosecond;
   SimDuration store_latency = 80 * kNanosecond;

@@ -1,38 +1,27 @@
 #include "src/mem/tiered_memory.h"
 
 #include <algorithm>
+#include <string>
+
 #include "src/common/check.h"
 
 namespace chronotier {
 
-TieredMemory::TieredMemory(std::vector<TierSpec> specs)
-    : TieredMemory(std::move(specs), Topology()) {}
-
-TieredMemory::TieredMemory(std::vector<TierSpec> specs, Topology topology) {
-  CHECK(!specs.empty()) << "TieredMemory needs at least one tier";
-  CHECK(specs.front().kind == TierKind::kFast) << "tier 0 must be the fast tier";
-  tiers_.reserve(specs.size());
-  for (auto& spec : specs) {
-    tiers_.emplace_back(std::move(spec));
-  }
-  // A default-constructed Topology stands for "no topology": normalize it to the complete
-  // graph over these tiers so edges()/Route()/HopPenalty() are always well-defined.
-  if (topology.num_nodes() == 0) {
-    topology_ = Topology::CompleteGraph(num_nodes());
-  } else {
-    CHECK(topology.num_nodes() == num_nodes())
-        << "topology covers " << topology.num_nodes() << " nodes but " << num_nodes()
-        << " tiers were given";
-    topology_ = std::move(topology);
+TieredMemory::TieredMemory(const TopologySpec& spec, double bandwidth_scale) {
+  std::string error;
+  CHECK(Topology::Build(spec, &topology_, &error)) << "invalid topology: " << error;
+  topology_.ScaleBandwidth(bandwidth_scale);
+  for (TierSpec& tier : topology_.TierSpecs()) {
+    tiers_.emplace_back(std::move(tier));
   }
   health_ = TopologyHealth(num_nodes(), static_cast<int>(topology_.edges().size()));
   congestion_enabled_ = topology_.congestion_enabled();
   if (congestion_enabled_) {
-    const TopologySpec& spec = topology_.spec();
+    const TopologySpec& scaled = topology_.spec();
     congestion_.reserve(tiers_.size());
     for (NodeId id = 0; id < num_nodes(); ++id) {
       congestion_.emplace_back(topology_.link_bandwidth(id),
-                               spec.congestion_access_delay_cap, spec.access_bytes);
+                               scaled.congestion_access_delay_cap, scaled.access_bytes);
     }
   }
 }
@@ -41,7 +30,8 @@ TieredMemory TieredMemory::DramOptane(uint64_t total_pages, double fast_fraction
   const auto fast_pages =
       static_cast<uint64_t>(static_cast<double>(total_pages) * fast_fraction);
   const uint64_t slow_pages = total_pages - fast_pages;
-  return TieredMemory({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)});
+  return TieredMemory(
+      TopologySpec::Star({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)}));
 }
 
 NodeId TieredMemory::AllocatePage(NodeId preferred) { return AllocatePages(preferred, 1); }

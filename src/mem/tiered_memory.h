@@ -1,5 +1,6 @@
-// The machine's physical memory: an ordered set of tiers (NUMA nodes) plus allocation and
-// migration-cost plumbing shared by all tiering policies.
+// The machine's physical memory: the nodes of a parsed topology tree (one tier per NUMA
+// node, the root being the fast tier) plus allocation and migration-cost plumbing shared
+// by all tiering policies.
 
 #pragma once
 
@@ -25,18 +26,15 @@ struct MigrationCost {
 
 class TieredMemory {
  public:
-  // Standard construction from an ordered tier vector; node 0 must be the fast tier. The
-  // topology is the trivial complete graph: every pair directly connected, no hop
-  // penalties, no congestion — the behaviour every pre-topology machine had.
-  explicit TieredMemory(std::vector<TierSpec> specs);
+  // Parses `spec` (CHECK-fatal if invalid), divides its link bandwidths by
+  // `bandwidth_scale` once, and derives one tier per node from the scaled topology, so the
+  // tiers' copy bandwidth and the congestion links read the same value. The topology also
+  // supplies hop penalties on the access path and the edge set the migration engine builds
+  // its routed CopyChannel graph from.
+  explicit TieredMemory(const TopologySpec& spec, double bandwidth_scale = 1.0);
 
-  // N-tier graph construction: `specs` describe the nodes, `topology` how they are wired
-  // (hop penalties on the access path, per-endpoint congestion links, and the edge set the
-  // migration engine builds its routed CopyChannel graph from).
-  TieredMemory(std::vector<TierSpec> specs, Topology topology);
-
-  // Convenience for the paper's 25%-DRAM configuration: a fast tier holding
-  // `total_pages * fast_fraction` pages and an Optane slow tier holding the rest.
+  // Convenience for the paper's 25%-DRAM configuration: the star "(1,2)" with a DRAM root
+  // holding `total_pages * fast_fraction` pages and an Optane endpoint holding the rest.
   static TieredMemory DramOptane(uint64_t total_pages, double fast_fraction = 0.25);
 
   MemoryTier& node(NodeId id) { return tiers_[static_cast<size_t>(id)]; }
@@ -50,8 +48,8 @@ class TieredMemory {
   const TopologyHealth& health() const { return health_; }
   TopologyHealth& mutable_health() { return health_; }
 
-  // Device access latency including the topology hop penalty (0 on complete graphs, so
-  // legacy machines see exactly node(id).AccessLatency()).
+  // Device access latency including the topology hop penalty (0 at depth <= 1, so star
+  // machines see exactly node(id).AccessLatency()).
   SimDuration AccessLatency(NodeId id, bool is_store) const {
     return node(id).AccessLatency(is_store) + topology_.HopPenalty(id);
   }

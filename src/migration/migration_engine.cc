@@ -13,10 +13,9 @@ MigrationEngine::MigrationEngine(MigrationEngineConfig config, MigrationEnv* env
   num_nodes_ = env_->memory().num_nodes();
   inflight_pages_by_node_.assign(static_cast<size_t>(num_nodes_), 0);
   // One channel per topology edge {lo, hi}, lo < hi: both copy directions over a link
-  // contend for the same device bandwidth. The legacy complete-graph topology yields the
-  // historical channel-per-unordered-tier-pair set in upper-triangle order; parsed tree
-  // topologies yield one channel per tree link, and copies between non-adjacent nodes are
-  // routed over multiple channels (BookCopy).
+  // contend for the same device bandwidth. The two-tier star "(1,2)" has the single
+  // channel (0,1); deeper trees have one channel per tree link, and copies between
+  // non-adjacent nodes are routed over multiple channels (BookCopy).
   const Topology& topo = env_->memory().topology();
   edge_channel_.assign(static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_), -1);
   for (const auto& [lo, hi] : topo.edges()) {
@@ -53,8 +52,7 @@ SimDuration MigrationEngine::RouteBacklog(NodeId from, NodeId to, SimTime now) c
   const TieredMemory& memory = env_->memory();
   const Topology& topo = memory.topology();
   if (memory.health().links_down() == 0 && topo.EdgeIndex(from, to) >= 0) {
-    // Directly connected (always true on the legacy complete graph): the single channel's
-    // backlog, exactly the historical admission quantity.
+    // Directly connected (always true on two-tier machines): the single channel's backlog.
     return channel(from, to).Backlog(now);
   }
   const std::vector<NodeId> route = HealthyRoute(from, to);

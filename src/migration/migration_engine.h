@@ -116,7 +116,7 @@ class MigrationEngine {
   uint64_t inflight_reserved_pages_on(NodeId node) const;
 
   // Channels are per *unordered* topology edge: channel(a, b) == channel(b, a), and the
-  // pair must be directly connected (every pair, on the legacy complete-graph topology).
+  // pair must be directly connected (a tree link).
   int num_channels() const { return static_cast<int>(channels_.size()); }
   const CopyChannel& channel(NodeId from, NodeId to) const;
   // Mutable access for the fault injector (stall / bandwidth-collapse injection).

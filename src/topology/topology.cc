@@ -86,25 +86,19 @@ double DefaultBandwidth(int depth) { return depth == 0 ? 12.0e9 : 8.0e9; }
 
 }  // namespace
 
-Topology Topology::CompleteGraph(int num_nodes) {
-  CHECK(num_nodes >= 1) << "CompleteGraph needs at least one node";
-  Topology topo;
-  topo.complete_graph_ = true;
-  const size_t n = static_cast<size_t>(num_nodes);
-  topo.parent_.assign(n, kInvalidNode);
-  topo.depth_.assign(n, 0);
-  topo.hop_penalty_.assign(n, 0);
-  topo.topo_id_.resize(n);
-  topo.children_.resize(n);
-  for (size_t i = 0; i < n; ++i) topo.topo_id_[i] = static_cast<int>(i) + 1;
-  // Upper-triangle order matches the migration engine's historical channel construction.
-  for (NodeId lo = 0; lo < num_nodes; ++lo) {
-    for (NodeId hi = lo + 1; hi < num_nodes; ++hi) {
-      topo.edges_.emplace_back(lo, hi);
-    }
+TopologySpec TopologySpec::Star(const std::vector<TierSpec>& tiers) {
+  TopologySpec spec;
+  spec.tree = "(1";
+  for (size_t i = 1; i < tiers.size(); ++i) spec.tree += "," + std::to_string(i + 1);
+  spec.tree += ")";
+  for (const TierSpec& tier : tiers) {
+    spec.capacity_pages.push_back(tier.capacity_pages);
+    spec.load_latency.push_back(tier.load_latency);
+    spec.store_latency.push_back(tier.store_latency);
+    spec.bandwidth.push_back(tier.migration_bandwidth_bytes_per_sec);
   }
-  topo.BuildEdgeIndex();
-  return topo;
+  spec.model_congestion = false;
+  return spec;
 }
 
 bool Topology::Build(const TopologySpec& spec, Topology* out, std::string* error) {
@@ -162,7 +156,6 @@ bool Topology::Build(const TopologySpec& spec, Topology* out, std::string* error
   if (spec.access_bytes == 0) return fail("access_bytes must be > 0");
 
   out->spec_ = spec;
-  out->complete_graph_ = false;
   out->parent_ = std::move(parents);
   out->children_ = std::move(children);
   out->topo_id_.resize(n);
@@ -223,7 +216,6 @@ void Topology::BuildEdgeIndex() {
 
 int Topology::HopDistance(NodeId a, NodeId b) const {
   if (a == b) return 0;
-  if (complete_graph_) return 1;
   int da = depth(a);
   int db = depth(b);
   int hops = 0;
@@ -247,7 +239,7 @@ int Topology::HopDistance(NodeId a, NodeId b) const {
 
 std::vector<NodeId> Topology::Route(NodeId a, NodeId b) const {
   if (a == b) return {a};
-  if (complete_graph_ || EdgeIndex(a, b) >= 0) return {a, b};
+  if (EdgeIndex(a, b) >= 0) return {a, b};
   // Tree path through the LCA: lift the deeper side, then both in lockstep.
   std::vector<NodeId> down;  // From a up toward the LCA (inclusive of a).
   std::vector<NodeId> up;    // From b up toward the LCA (inclusive of b).
@@ -310,7 +302,6 @@ std::vector<NodeId> Topology::RouteAvoiding(NodeId a, NodeId b,
 }
 
 std::string Topology::ToString() const {
-  if (complete_graph_) return std::string();
   std::ostringstream os;
   // Pre-order render; a node with children becomes a group, a leaf a bare id.
   const std::function<void(NodeId)> render = [&](NodeId node) {
@@ -331,18 +322,11 @@ std::string Topology::ToString() const {
 }
 
 std::vector<TierSpec> Topology::TierSpecs() const {
-  CHECK(!complete_graph_) << "TierSpecs() is only defined for parsed topologies";
   std::vector<TierSpec> specs;
   specs.reserve(parent_.size());
   for (size_t i = 0; i < parent_.size(); ++i) {
     TierSpec spec;
-    if (i == 0) {
-      spec.name = "dram";
-      spec.kind = TierKind::kFast;
-    } else {
-      spec.name = "cxl" + std::to_string(topo_id_[i]);
-      spec.kind = TierKind::kSlow;
-    }
+    spec.name = i == 0 ? "dram" : "cxl" + std::to_string(topo_id_[i]);
     spec.capacity_pages = spec_.capacity_pages[i];
     spec.load_latency = spec_.load_latency[i];
     spec.store_latency = spec_.store_latency[i];
@@ -353,7 +337,6 @@ std::vector<TierSpec> Topology::TierSpecs() const {
 }
 
 void Topology::ScaleBandwidth(double scale) {
-  if (complete_graph_ || scale <= 1.0) return;
   for (double& bw : spec_.bandwidth) {
     bw /= scale;
   }

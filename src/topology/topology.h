@@ -1,13 +1,12 @@
-// N-tier CXL topology: the tier *graph* generalization of the ordered two-tier vector.
+// N-tier CXL topology: the one description of how a machine's memory nodes are wired.
 //
-// A Topology describes how memory nodes are wired: a tree parsed from a CXLMemSim-style
-// string such as "(1,(2,3,4))" — host 1 at the root, endpoint 2 below it, endpoints 3 and 4
-// behind 2 — with per-endpoint latency/bandwidth/capacity arrays and a per-hop latency
-// penalty, or the trivial *complete graph* every legacy two-tier (and N-tier vector)
-// machine uses, in which all node pairs are directly connected and no hop penalties or
-// congestion exist. The migration engine builds one CopyChannel per topology edge and
-// routes multi-hop copies over the tree path (src/migration); the access path charges the
-// hop penalty and per-endpoint congestion delay (src/mem/tiered_memory.h).
+// A Topology is a tree parsed from a CXLMemSim-style string such as "(1,(2,3,4))" — host 1
+// at the root, endpoint 2 below it, endpoints 3 and 4 behind 2 — with per-node
+// latency/bandwidth/capacity arrays and a per-hop latency penalty. The paper's two-tier box
+// is the degenerate tree "(1,2)" with congestion off (TopologySpec::Star). The migration
+// engine builds one CopyChannel per tree edge and routes multi-hop copies over the tree
+// path (src/migration); the access path charges the hop penalty and per-endpoint
+// congestion delay (src/mem/tiered_memory.h).
 //
 // This library sits below src/mem in the link graph (ct_mem depends on ct_topology), so it
 // uses tier.h header-only: TierSpecs derived from a parsed topology are built inline here
@@ -32,8 +31,7 @@ namespace chronotier {
 struct TopologySpec {
   // Tree string, e.g. "(1,(2,3,4))": a parenthesized group is "(id, child, child, ...)",
   // a bare integer is a leaf. The first id of the outermost group is the root (the host
-  // DRAM node, mapped to NodeId 0). Empty = topology modelling disabled (the machine uses
-  // the legacy `tiers` vector and a complete graph).
+  // DRAM node, mapped to NodeId 0). Required: Topology::Build rejects an empty string.
   std::string tree;
 
   // Physical capacity per node, in base pages. Required (must cover every node).
@@ -63,16 +61,18 @@ struct TopologySpec {
   // Bytes one access books against the endpoint's link (a cache line).
   uint64_t access_bytes = 64;
 
+  // True when a tree is set; ExperimentConfig builds MachineConfig::StandardTwoTier when
+  // it is not.
   bool enabled() const { return !tree.empty(); }
+
+  // The star "(1,2,...,n)": the root is tiers[0], every other tier is an endpoint directly
+  // below it, and each node takes its preset's capacity, latencies and bandwidth. Congestion
+  // is off, and no node pays a hop penalty (every endpoint sits at depth 1).
+  static TopologySpec Star(const std::vector<TierSpec>& tiers);
 };
 
 class Topology {
  public:
-  // Trivial topology: every pair of nodes directly connected, no hop penalties, no
-  // congestion. The edge order matches the migration engine's historical upper-triangle
-  // channel order, so legacy machines behave bit-identically.
-  static Topology CompleteGraph(int num_nodes);
-
   // Parses and validates `spec`. On failure returns false and sets *error (out is left in
   // an unspecified but safe state). On success `out->spec()` keeps a copy of the spec with
   // defaulted arrays filled in.
@@ -81,11 +81,10 @@ class Topology {
   Topology() = default;
 
   int num_nodes() const { return static_cast<int>(parent_.size()); }
-  bool complete_graph() const { return complete_graph_; }
-  bool congestion_enabled() const { return !complete_graph_ && spec_.model_congestion; }
+  bool congestion_enabled() const { return spec_.model_congestion; }
   const TopologySpec& spec() const { return spec_; }
 
-  // Tree accessors (complete graphs report every node at depth 0 with no parent).
+  // Tree accessors (the root has depth 0 and parent kInvalidNode).
   NodeId parent(NodeId node) const { return parent_[static_cast<size_t>(node)]; }
   int depth(NodeId node) const { return depth_[static_cast<size_t>(node)]; }
   int topo_id(NodeId node) const { return topo_id_[static_cast<size_t>(node)]; }
@@ -105,7 +104,7 @@ class Topology {
   // Route over surviving links only: shortest path avoiding every edge whose LinkHealth is
   // kDown, by deterministic BFS (neighbors visited in node-id order, so ties break toward
   // lower ids). Returns the empty vector when the fault partitions a from b. With no links
-  // down this equals Route() on trees and the direct edge on complete graphs.
+  // down this equals Route().
   std::vector<NodeId> RouteAvoiding(NodeId a, NodeId b,
                                     const std::vector<LinkHealth>& links) const;
 
@@ -114,25 +113,22 @@ class Topology {
     return hop_penalty_[static_cast<size_t>(node)];
   }
 
-  // The node's link bandwidth (congestion service rate), bytes/sec. 0 for complete graphs.
-  double link_bandwidth(NodeId node) const {
-    return complete_graph_ ? 0.0 : spec_.bandwidth[static_cast<size_t>(node)];
-  }
+  // The node's link bandwidth (congestion service rate and copy bandwidth), bytes/sec.
+  double link_bandwidth(NodeId node) const { return spec_.bandwidth[static_cast<size_t>(node)]; }
 
-  // Canonical round-trip form of the tree ("(1,(2,3,4))"; empty for complete graphs).
+  // Canonical round-trip form of the tree ("(1,(2,3,4))").
   std::string ToString() const;
 
-  // TierSpecs derived from the per-node arrays (root = fast tier). Parsed topologies only.
+  // TierSpecs derived from the per-node arrays: the root is "dram", endpoint k "cxl<k>".
   std::vector<TierSpec> TierSpecs() const;
 
-  // Miniature-machine scaling: divides every node's link bandwidth by `scale` (mirrors
-  // MachineConfig::bandwidth_scale on the legacy tier vector).
+  // Miniature-machine scaling: divides every node's link bandwidth by `scale`
+  // (MachineConfig::bandwidth_scale). TieredMemory calls it once, before deriving its tiers.
   void ScaleBandwidth(double scale);
 
  private:
   TopologySpec spec_;
-  bool complete_graph_ = true;
-  std::vector<NodeId> parent_;   // kInvalidNode for the root (and all complete-graph nodes).
+  std::vector<NodeId> parent_;   // kInvalidNode for the root.
   std::vector<int> depth_;
   std::vector<int> topo_id_;
   std::vector<std::vector<NodeId>> children_;  // For ToString.

@@ -36,7 +36,7 @@ struct TelemetrySample {
     uint64_t lru_active = 0;
     uint64_t lru_inactive = 0;
     // Per-endpoint occupancy and congestion (all 0 on machines without a congestion
-    // model, so legacy two-tier time series only gain constant columns).
+    // model, so two-tier time series only gain constant columns).
     uint64_t inflight_reserved = 0;    // Engine target frames reserved on this node.
     int64_t link_backlog_ns = 0;       // Endpoint link queue depth at sample time.
     uint64_t congestion_queued_ns = 0; // Cumulative access queueing charged on the link.

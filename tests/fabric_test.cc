@@ -95,11 +95,7 @@ TieredMemory MakeChainMemory() {
   spec.tree = "(1,(2,3))";  // Nodes 0-1-2, edges (0,1) and (1,2).
   spec.capacity_pages = {1024, 1024, 4096};
   spec.bandwidth = {kOnePagePerMs, kOnePagePerMs, kOnePagePerMs};
-  Topology topo;
-  std::string error;
-  EXPECT_TRUE(Topology::Build(spec, &topo, &error)) << error;
-  std::vector<TierSpec> tiers = topo.TierSpecs();
-  return TieredMemory(std::move(tiers), std::move(topo));
+  return TieredMemory(spec);
 }
 
 class FabricEngineTest : public ::testing::Test {

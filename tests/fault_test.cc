@@ -56,7 +56,7 @@ constexpr SimDuration kCopyTime = kMillisecond;
 class StubEnv : public MigrationEnv {
  public:
   StubEnv(uint64_t fast_pages, uint64_t slow_pages)
-      : memory_(MakeSpecs(fast_pages, slow_pages)) {}
+      : memory_(MakeSpec(fast_pages, slow_pages)) {}
 
   EventQueue& queue() override { return queue_; }
   TieredMemory& memory() override { return memory_; }
@@ -76,12 +76,12 @@ class StubEnv : public MigrationEnv {
   SimDuration kernel_time_ = 0;
 
  private:
-  static std::vector<TierSpec> MakeSpecs(uint64_t fast_pages, uint64_t slow_pages) {
-    TierSpec fast = TierSpec::Dram(fast_pages);
-    TierSpec slow = TierSpec::OptanePmem(slow_pages);
-    fast.migration_bandwidth_bytes_per_sec = kOnePagePerMs;
-    slow.migration_bandwidth_bytes_per_sec = kOnePagePerMs;
-    return {fast, slow};
+  // The two-tier star "(1,2)" with a 1 ms/page link on both nodes.
+  static TopologySpec MakeSpec(uint64_t fast_pages, uint64_t slow_pages) {
+    TopologySpec spec =
+        TopologySpec::Star({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)});
+    spec.bandwidth = {kOnePagePerMs, kOnePagePerMs};
+    return spec;
   }
 };
 

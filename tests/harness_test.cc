@@ -342,26 +342,25 @@ TEST(MachineConfigValidateTest, StandardTwoTierIsValid) {
 }
 
 TEST(MachineConfigValidateTest, RejectsEmptyTierList) {
-  MachineConfig config;
-  EXPECT_TRUE(HasError(config.Validate(), "at least one tier is required"));
-}
-
-TEST(MachineConfigValidateTest, RejectsSlowTierInSlotZero) {
-  MachineConfig config;
-  config.tiers = {TierSpec::OptanePmem(1024), TierSpec::Dram(1024)};
-  EXPECT_TRUE(HasError(config.Validate(), "tier 0 must be the fast tier"));
+  MachineConfig config = MachineConfig::StandardTwoTier(4096);
+  config.topology.tree.clear();
+  config.topology.capacity_pages.clear();
+  EXPECT_TRUE(HasError(config.Validate(), "topology: topology tree string is empty"));
 }
 
 TEST(MachineConfigValidateTest, RejectsZeroCapacityTier) {
   MachineConfig config = MachineConfig::StandardTwoTier(4096);
-  config.tiers[1].capacity_pages = 0;
-  EXPECT_TRUE(HasError(config.Validate(), "capacity_pages must be > 0"));
+  ASSERT_EQ(config.topology.capacity_pages.size(), 2u);
+  config.topology.capacity_pages[1] = 0;
+  EXPECT_TRUE(
+      HasError(config.Validate(), "topology: capacity_pages must be > 0 for every node"));
 }
 
 TEST(MachineConfigValidateTest, RejectsZeroMigrationBandwidth) {
   MachineConfig config = MachineConfig::StandardTwoTier(4096);
-  config.tiers[0].migration_bandwidth_bytes_per_sec = 0;
-  EXPECT_TRUE(HasError(config.Validate(), "migration bandwidth must be > 0"));
+  ASSERT_EQ(config.topology.bandwidth.size(), 2u);
+  config.topology.bandwidth[0] = 0;
+  EXPECT_TRUE(HasError(config.Validate(), "topology: bandwidth must be > 0 for every node"));
 }
 
 TEST(MachineConfigValidateTest, RejectsNegativeCostsAndZeroPeriods) {

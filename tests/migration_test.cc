@@ -23,7 +23,7 @@ constexpr SimDuration kCopyTime = kMillisecond;
 class StubEnv : public MigrationEnv {
  public:
   StubEnv(uint64_t fast_pages, uint64_t slow_pages)
-      : memory_(MakeSpecs(fast_pages, slow_pages)) {}
+      : memory_(MakeSpec(fast_pages, slow_pages)) {}
   // Topology-backed variant (routed multi-hop tests).
   explicit StubEnv(TieredMemory memory) : memory_(std::move(memory)) {}
 
@@ -45,12 +45,12 @@ class StubEnv : public MigrationEnv {
   SimDuration kernel_time_ = 0;
 
  private:
-  static std::vector<TierSpec> MakeSpecs(uint64_t fast_pages, uint64_t slow_pages) {
-    TierSpec fast = TierSpec::Dram(fast_pages);
-    TierSpec slow = TierSpec::OptanePmem(slow_pages);
-    fast.migration_bandwidth_bytes_per_sec = kOnePagePerMs;
-    slow.migration_bandwidth_bytes_per_sec = kOnePagePerMs;
-    return {fast, slow};
+  // The two-tier star "(1,2)" with a 1 ms/page link on both nodes.
+  static TopologySpec MakeSpec(uint64_t fast_pages, uint64_t slow_pages) {
+    TopologySpec spec =
+        TopologySpec::Star({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)});
+    spec.bandwidth = {kOnePagePerMs, kOnePagePerMs};
+    return spec;
   }
 };
 
@@ -310,11 +310,7 @@ TieredMemory MakeChainMemory() {
   spec.tree = "(1,(2,3))";
   spec.capacity_pages = {1024, 1024, 4096};
   spec.bandwidth = {kOnePagePerMs, kOnePagePerMs, kOnePagePerMs};
-  Topology topo;
-  std::string error;
-  EXPECT_TRUE(Topology::Build(spec, &topo, &error)) << error;
-  std::vector<TierSpec> tiers = topo.TierSpecs();
-  return TieredMemory(std::move(tiers), std::move(topo));
+  return TieredMemory(spec);
 }
 
 class RoutedMigrationTest : public ::testing::Test {
@@ -364,7 +360,7 @@ TEST_F(RoutedMigrationTest, MultiHopCopyBooksEveryTraversedLink) {
   EXPECT_EQ(stats_.multi_hop_copies, 1u);
   EXPECT_EQ(stats_.multi_hop_legs, 2u);
 
-  // One channel per topology edge (0-1, 1-2) — not the complete graph's three.
+  // One channel per topology edge (0-1, 1-2) — not one per node pair (three).
   EXPECT_EQ(engine_->num_channels(), 2);
   // Every traversed link booked the copy: bandwidth is conserved per link, and the
   // store-and-forward legs mean the commit lands no earlier than both legs' service.

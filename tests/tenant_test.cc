@@ -22,7 +22,8 @@ namespace chronotier {
 namespace {
 
 TieredMemory SmallMemory(uint64_t fast_pages = 1024, uint64_t slow_pages = 4096) {
-  return TieredMemory({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)});
+  return TieredMemory(
+      TopologySpec::Star({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)}));
 }
 
 QosRequest Promote(int32_t owner, uint64_t pages, SimTime now = 0) {

@@ -1,6 +1,7 @@
-// Three-tier machine tests: DRAM + CXL memory + Optane PM. The paper evaluates two tiers,
-// but the substrate is N-tier (TieredMemory's zonelist allocation and the cascade demotion
-// path); these tests pin that behaviour so the CXL configuration stays usable.
+// Three-tier machine tests: DRAM + CXL memory + Optane PM, wired as the star "(1,2,3)". The
+// paper evaluates two tiers, but the substrate is N-tier (TieredMemory's zonelist
+// allocation and the cascade demotion path); these tests pin that behaviour so the CXL
+// configuration stays usable.
 
 #include <gtest/gtest.h>
 
@@ -14,17 +15,20 @@
 namespace chronotier {
 namespace {
 
+TopologySpec ThreeTierSpec(uint64_t dram, uint64_t cxl, uint64_t pm) {
+  return TopologySpec::Star(
+      {TierSpec::Dram(dram), TierSpec::CxlMemory(cxl), TierSpec::OptanePmem(pm)});
+}
+
 MachineConfig ThreeTierConfig() {
   MachineConfig config;
-  config.tiers = {TierSpec::Dram(1024), TierSpec::CxlMemory(2048),
-                  TierSpec::OptanePmem(4096)};
+  config.topology = ThreeTierSpec(1024, 2048, 4096);
   config.bandwidth_scale = 64.0;
   return config;
 }
 
 TEST(ThreeTierTest, AllocationWalksTheZonelist) {
-  TieredMemory memory({TierSpec::Dram(100), TierSpec::CxlMemory(100),
-                       TierSpec::OptanePmem(100)});
+  TieredMemory memory(ThreeTierSpec(100, 100, 100));
   EXPECT_EQ(memory.num_nodes(), 3);
   // Fill DRAM (to its min watermark), then CXL, then Optane.
   NodeId node = kFastNode;
@@ -43,8 +47,7 @@ TEST(ThreeTierTest, AllocationWalksTheZonelist) {
 }
 
 TEST(ThreeTierTest, LatencyOrderingAcrossTiers) {
-  TieredMemory memory({TierSpec::Dram(10), TierSpec::CxlMemory(10),
-                       TierSpec::OptanePmem(10)});
+  TieredMemory memory(ThreeTierSpec(10, 10, 10));
   EXPECT_LT(memory.node(0).AccessLatency(false), memory.node(1).AccessLatency(false));
   EXPECT_LT(memory.node(1).AccessLatency(false), memory.node(2).AccessLatency(false));
 }
@@ -58,6 +61,15 @@ TEST(ThreeTierTest, DemotionCascadesOneTierDown) {
   machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
   machine.Start();
   machine.Run(5 * kSecond);
+
+  // The star has links DRAM-CXL and DRAM-Optane only: a CXL-to-Optane copy routes through
+  // the root.
+  const MigrationEngine& engine = machine.migration();
+  ASSERT_EQ(engine.num_channels(), 2);
+  EXPECT_EQ(engine.channel_at(0).lo(), 0);
+  EXPECT_EQ(engine.channel_at(0).hi(), 1);
+  EXPECT_EQ(engine.channel_at(1).lo(), 0);
+  EXPECT_EQ(engine.channel_at(1).hi(), 2);
 
   // Pages live on DRAM and CXL; nothing should have skipped to Optane while CXL has room.
   EXPECT_GT(process.resident_pages(0), 0u);

@@ -10,6 +10,7 @@
 
 #include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
+#include "src/harness/machine.h"
 #include "src/policies/endpoint_aware.h"
 #include "src/topology/congestion.h"
 #include "src/topology/topology.h"
@@ -43,7 +44,6 @@ std::string BuildError(const TopologySpec& spec) {
 TEST(TopologyParseTest, TwoNodeTree) {
   const Topology topo = MustBuild(Spec("(1,2)", 2));
   EXPECT_EQ(topo.num_nodes(), 2);
-  EXPECT_FALSE(topo.complete_graph());
   EXPECT_EQ(topo.parent(1), 0);
   EXPECT_EQ(topo.depth(0), 0);
   EXPECT_EQ(topo.depth(1), 1);
@@ -160,17 +160,6 @@ TEST(TopologyRouteTest, HopDistanceAndRoutes) {
   EXPECT_EQ(topo.HopPenalty(2), topo.spec().hop_latency);
 }
 
-TEST(TopologyRouteTest, CompleteGraphIsFullyConnected) {
-  const Topology topo = Topology::CompleteGraph(3);
-  EXPECT_TRUE(topo.complete_graph());
-  EXPECT_FALSE(topo.congestion_enabled());
-  EXPECT_EQ(topo.edges().size(), 3u);
-  EXPECT_EQ(topo.HopDistance(0, 2), 1);
-  EXPECT_EQ(topo.Route(2, 0), (std::vector<NodeId>{2, 0}));
-  EXPECT_EQ(topo.HopPenalty(2), 0);
-  EXPECT_EQ(topo.ToString(), "");
-}
-
 TEST(CongestionTest, ChargesCappedBacklogDeterministically) {
   // 1 GB/s link, 4 us cap, 64-byte accesses: 64 bytes take 64 ns of service.
   EndpointCongestion link(1e9, 4 * kMicrosecond, 64);
@@ -272,22 +261,16 @@ TEST(TopologyMachineTest, EndpointAwarePolicyPromotesOnDeepFabric) {
   EXPECT_GT(result.multi_hop_legs, result.multi_hop_copies);
 }
 
-// MachineConfig validation: topology and tiers are mutually exclusive; parse errors and
-// node counts beyond the per-process residency array are surfaced.
+// MachineConfig validation: parse errors and node counts beyond the per-process residency
+// array are surfaced.
 TEST(TopologyMachineTest, MachineConfigValidatesTopology) {
   MachineConfig config;
   config.topology.tree = "(1,2)";
   config.topology.capacity_pages = {64, 64};
   EXPECT_TRUE(config.Validate().empty());
 
-  config.tiers = {TierSpec::Dram(64)};
-  std::vector<std::string> errors = config.Validate();
-  ASSERT_FALSE(errors.empty());
-  EXPECT_NE(errors.front().find("not both"), std::string::npos);
-
-  config.tiers.clear();
   config.topology.tree = "(1,1)";
-  errors = config.Validate();
+  std::vector<std::string> errors = config.Validate();
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors.front().find("duplicate"), std::string::npos);
 
@@ -298,6 +281,47 @@ TEST(TopologyMachineTest, MachineConfigValidatesTopology) {
   errors = config.Validate();
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors.front().find("max is"), std::string::npos);
+}
+
+// The machine divides each node's link bandwidth by bandwidth_scale exactly once: the
+// tiers' copy bandwidth and the topology's link bandwidth both read spec / scale.
+TEST(TopologyMachineTest, BandwidthIsScaledOnce) {
+  const MachineConfig two_tier = MachineConfig::StandardTwoTier(4096);
+  MachineConfig chain = two_tier;
+  chain.topology = Spec("(1,(2,3))", 3);
+  for (const double scale : {1.0, 256.0}) {
+    for (MachineConfig config : {two_tier, chain}) {
+      config.bandwidth_scale = scale;
+      const Topology unscaled = MustBuild(config.topology);
+      Machine machine(config, TopologyPolicySet()[0].make());
+      ASSERT_EQ(machine.memory().num_nodes(), unscaled.num_nodes());
+      for (NodeId i = 0; i < unscaled.num_nodes(); ++i) {
+        const double expected = unscaled.spec().bandwidth[static_cast<size_t>(i)] / scale;
+        EXPECT_EQ(machine.memory().node(i).spec().migration_bandwidth_bytes_per_sec, expected)
+            << config.topology.tree << " node " << i << " scale " << scale;
+        EXPECT_EQ(machine.memory().topology().link_bandwidth(i), expected)
+            << config.topology.tree << " node " << i << " scale " << scale;
+      }
+    }
+  }
+
+  // The two-tier box is the star "(1,2)" with the DRAM/Optane presets and no congestion.
+  Machine machine(two_tier, TopologyPolicySet()[0].make());
+  const TieredMemory& memory = machine.memory();
+  const Topology& topo = memory.topology();
+  EXPECT_EQ(topo.ToString(), "(1,2)");
+  EXPECT_EQ(memory.num_nodes(), 2);
+  EXPECT_EQ(topo.edges().size(), 1u);
+  EXPECT_FALSE(topo.congestion_enabled());
+  EXPECT_FALSE(memory.congestion_enabled());
+  const TierSpec presets[] = {TierSpec::Dram(1024), TierSpec::OptanePmem(3072)};
+  for (NodeId i = 0; i < 2; ++i) {
+    const TierSpec& preset = presets[i];
+    EXPECT_EQ(topo.HopPenalty(i), 0);
+    EXPECT_EQ(memory.node(i).capacity_pages(), preset.capacity_pages);
+    EXPECT_EQ(memory.AccessLatency(i, /*is_store=*/false), preset.load_latency);
+    EXPECT_EQ(memory.AccessLatency(i, /*is_store=*/true), preset.store_latency);
+  }
 }
 
 }  // namespace
