@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/harness/runner.h"
 
 namespace chronotier {
 
@@ -144,6 +145,32 @@ namespace {
 // one host cache miss, so the lines arrive before the op that needs them.
 constexpr size_t kTranslationPrefetchDistance = 16;
 
+// Ring size in ops (24 KB of MemOps), whatever the batch: a batch-1 ring still wakes its
+// helper only every half ring, not every few ops.
+constexpr size_t kStreamRingOps = 1024;
+// The helper publishes filled slots to the replay thread at least this many ops at a
+// time, so small batches do not hand one cache line back and forth per slot.
+constexpr size_t kPublishOps = 64;
+// Ring checks (32 pauses apart) a helper with nothing to fill makes before it sleeps.
+constexpr int kSleepAfterChecks = 64;
+
+// Host CPUs held by machines in this process: one per live Machine (its replay thread)
+// plus one per running stream helper. A helper is granted only while a CPU is idle.
+std::atomic<int> g_busy_cpus{0};
+
+int HostCpus() {
+  static const int cpus = DefaultJobs();
+  return cpus;
+}
+
+void SpinPause() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
 // Runs before any member is built from the config, so a bad topology reports through
 // Validate() like every other field.
 const MachineConfig& Validated(const MachineConfig& config) {
@@ -158,7 +185,8 @@ Machine::Machine(MachineConfig config, std::unique_ptr<TieringPolicy> policy)
     : config_(Validated(config)),
       memory_(config.topology, config.bandwidth_scale),
       policy_(std::move(policy)),
-      pebs_(config.pebs) {
+      pebs_(config.pebs),
+      feeder_(&bindings_, config_.replay_batch_ops) {
   for (int i = 0; i < memory_.num_nodes(); ++i) {
     lrus_.emplace_back();
     lrus_.back().set_arena(&arena_);
@@ -238,6 +266,9 @@ void Machine::AttachWorkload(Process& process, std::unique_ptr<AccessStream> str
   binding.stream = std::move(stream);
   binding.rng.Seed(seed);
   binding.stream->Init(process, binding.rng);
+  binding.ops.resize(StreamRingOps(config_.replay_batch_ops));
+  binding.slots = binding.ops.size() / config_.replay_batch_ops;
+  binding.counts.resize(binding.slots);
 }
 
 void Machine::Start() {
@@ -334,6 +365,7 @@ Vma* Machine::ResolveVma(const PageInfo& page) {
 
 void Machine::Run(SimDuration duration) {
   CHECK(started_) << "Run() before Start()";
+  feeding_ = !AllProcessesFinished() && feeder_.Start();
   const SimTime end = queue_.now() + duration;
   while (queue_.now() < end) {
     SimTime horizon = queue_.NextEventTime();
@@ -349,6 +381,10 @@ void Machine::Run(SimDuration duration) {
       }
     }
     queue_.RunUntil(horizon);
+  }
+  if (feeding_) {
+    feeder_.Park();
+    feeding_ = false;
   }
   // Every Run exit leaves the oracle current: whoever reads it next (figure harvest code,
   // tests) sees every access made so far.
@@ -381,15 +417,6 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
     process.SyncClockTo(horizon);
     return;
   }
-  // Batched replay: refill the binding's prefetch buffer once per `replay_batch_ops` ops
-  // instead of taking a virtual Next() per op. Streams never see machine state, so a
-  // prefetched op is the op single-stepping would have produced at the same ordinal, and
-  // the stream/RNG call sequence is identical (a short fill marks `exhausted`, after which
-  // the stream is never called again — matching single-step's one terminating Next()).
-  const size_t batch = config_.replay_batch_ops;
-  if (binding.ops.size() < batch) {
-    binding.ops.resize(batch);
-  }
   // Loop-invariant hoists: the TLB reference, the arena's group table and the lane flag
   // never change mid-run (no event fires inside this loop — faults and PEBS handlers may
   // Push events but never run them — and nothing maps a region), so the compiler keeps
@@ -399,17 +426,9 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
   const PageArena::Groups groups = arena_.groups();
   const bool lane_enabled = config_.enable_translation_cache;
   while (process.clock() < horizon) {
-    if (binding.cursor == binding.count) {
-      binding.count =
-          binding.exhausted ? 0 : binding.stream->FillBatch(binding.rng, binding.ops.data(), batch);
-      binding.cursor = 0;
-      if (binding.count < batch) {
-        binding.exhausted = true;
-      }
-      if (binding.count == 0) {
-        process.set_finished(true);
-        break;
-      }
+    if (binding.cursor == binding.count && !NextSlot(binding)) {
+      process.set_finished(true);
+      break;
     }
     if (lane_enabled) {
       // Two-stage translation prefetch over the buffered ops: the TLB slot of the op a
@@ -418,14 +437,14 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
       // TranslationCache::PrefetchSlot.
       const size_t ahead = binding.cursor + kTranslationPrefetchDistance;
       if (ahead < binding.count) {
-        tlb.PrefetchSlot(binding.ops[ahead].vaddr / kBasePageSize);
+        tlb.PrefetchSlot(binding.slot[ahead].vaddr / kBasePageSize);
       }
       const size_t half = binding.cursor + kTranslationPrefetchDistance / 2;
       if (half < binding.count) {
-        tlb.PrefetchUnit(binding.ops[half].vaddr / kBasePageSize, groups);
+        tlb.PrefetchUnit(binding.slot[half].vaddr / kBasePageSize, groups);
       }
     }
-    const MemOp& op = binding.ops[binding.cursor++];
+    const MemOp& op = binding.slot[binding.cursor++];
     SimDuration spent = op.think_time + process.access_delay();
     if (spent > 0) {
       metrics_.CountThinkTime(spent);
@@ -459,6 +478,207 @@ void Machine::RunProcessUntil(Process& process, WorkloadBinding& binding, SimTim
     // Idle processes still follow global time.
     process.SyncClockTo(horizon);
   }
+}
+
+// Batched replay: ops come a slot (`replay_batch_ops` ops, one FillBatch call) at a time
+// from the binding's ring instead of a virtual Next() per op. Streams never see machine
+// state, so an op generated ahead — by the helper or by this thread — is the op
+// single-stepping would have produced at the same ordinal, and the stream/RNG call
+// sequence is identical whoever makes it (a short fill ends the stream, which is never
+// called again — matching single-step's one terminating Next()).
+bool Machine::NextSlot(WorkloadBinding& binding) {
+  const size_t batch = config_.replay_batch_ops;
+  uint64_t consumed = binding.consumed.load(std::memory_order_relaxed);
+  if (binding.slot != nullptr) {
+    if (binding.count < batch) {
+      return false;  // The slot just replayed was the stream's short last fill.
+    }
+    // seq_cst: pairs with the helper's sleeping_ store, so either the helper's last look
+    // sees this slot handed back or this thread sees the helper asleep.
+    binding.consumed.store(++consumed, std::memory_order_seq_cst);
+    if (feeding_ && binding.filled_seen - consumed <= binding.slots / 2) {
+      feeder_.WakeIfAsleep();
+    }
+  }
+  if (binding.filled_seen == consumed) {
+    binding.filled_seen = binding.filled.load(std::memory_order_acquire);
+  }
+  if (binding.filled_seen == consumed && !feeding_) {
+    binding.filled_seen += binding.Fill(batch, 1);
+  }
+  // The helper is behind: it fills on a CPU of its own and never waits on this thread, so
+  // spin briefly, then yield.
+  for (int spins = 0; binding.filled_seen == consumed; ++spins) {
+    if (spins < 1024) {
+      SpinPause();
+    } else {
+      std::this_thread::yield();
+    }
+    binding.filled_seen = binding.filled.load(std::memory_order_acquire);
+  }
+  const uint64_t index = consumed % binding.slots;
+  binding.slot = binding.ops.data() + index * batch;
+  binding.count = binding.counts[index];
+  binding.cursor = 0;
+  return binding.count > 0;
+}
+
+uint64_t Machine::WorkloadBinding::Fill(size_t batch, uint64_t max_slots) {
+  const uint64_t first = filled.load(std::memory_order_relaxed);
+  uint64_t next = first;
+  while (next - first < max_slots && !done) {
+    const uint64_t index = next % slots;
+    const size_t produced = stream->FillBatch(rng, ops.data() + index * batch, batch);
+    counts[index] = static_cast<uint32_t>(produced);
+    done = produced < batch;
+    ++next;
+  }
+  filled.store(next, std::memory_order_release);
+  return next - first;
+}
+
+uint64_t Machine::WorkloadBinding::FreeSlots() {
+  if (stream == nullptr || done) {
+    return 0;
+  }
+  const uint64_t next = filled.load(std::memory_order_relaxed);
+  if (next - consumed_seen >= slots) {  // Full as last seen, or stale from inline fills.
+    consumed_seen = consumed.load(std::memory_order_seq_cst);
+  }
+  return slots - (next - consumed_seen);
+}
+
+size_t Machine::StreamRingOps(uint32_t replay_batch_ops) {
+  return std::max<size_t>(2, kStreamRingOps / replay_batch_ops) * replay_batch_ops;
+}
+
+Machine::StreamFeeder::StreamFeeder(std::deque<WorkloadBinding>* bindings, size_t batch)
+    : bindings_(bindings),
+      batch_(batch),
+      publish_slots_(std::max<size_t>(1, kPublishOps / batch)) {
+  g_busy_cpus.fetch_add(1);  // This machine's replay thread.
+}
+
+Machine::StreamFeeder::~StreamFeeder() {
+  if (thread_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      exit_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+  g_busy_cpus.fetch_sub(1);
+}
+
+bool Machine::StreamFeeder::Start() {
+  int busy = g_busy_cpus.load();
+  do {
+    if (busy >= HostCpus()) {
+      return false;
+    }
+  } while (!g_busy_cpus.compare_exchange_weak(busy, busy + 1));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    active_ = true;
+    if (!thread_.joinable()) {
+      thread_ = std::thread([this] { Main(); });
+    }
+  }
+  cv_.notify_all();
+  return true;
+}
+
+void Machine::StreamFeeder::Park() {
+  stop_.store(true);
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    active_ = false;
+    sleeping_.store(false);
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return parked_; });
+  }
+  stop_.store(false);
+  g_busy_cpus.fetch_sub(1);
+}
+
+void Machine::StreamFeeder::WakeIfAsleep() {
+  if (sleeping_.load()) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      sleeping_.store(false);
+    }
+    cv_.notify_all();
+  }
+}
+
+void Machine::StreamFeeder::Main() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return active_ || exit_; });
+    if (exit_) {
+      return;
+    }
+    parked_ = false;
+    lock.unlock();
+    FillUntilStopped();
+    lock.lock();
+  }
+}
+
+// Fills every ring that has room, up to publish_slots_ slots each, round-robin, until
+// Park. Sleeps only when every ring is more than half full and stays so through a short
+// spin; the replay thread wakes it once one falls to half.
+void Machine::StreamFeeder::FillUntilStopped() {
+  while (!stop_.load(std::memory_order_acquire)) {
+    bool filled_any = false;
+    for (WorkloadBinding& binding : *bindings_) {
+      const uint64_t free = binding.FreeSlots();
+      if (free > 0 && !stop_.load(std::memory_order_relaxed)) {
+        fills_ += binding.Fill(batch_, std::min(free, publish_slots_));
+        filled_any = true;
+      }
+    }
+    if (filled_any || SpinUntilRingAtMostHalf()) {
+      continue;
+    }
+    std::unique_lock<std::mutex> lock(mu_);
+    // seq_cst store, then seq_cst loads of every `consumed`: pairs with NextSlot's store.
+    sleeping_.store(true);
+    if (stop_.load() || AnyRingAtMostHalf()) {
+      sleeping_.store(false);
+      continue;
+    }
+    cv_.wait(lock, [this] { return !sleeping_.load(); });
+  }
+}
+
+// Before sleeping, watches the rings for about as long as the replay thread takes to
+// drain half a ring: a VM wakes a sleeping thread slower than that, and a helper that
+// wakes late leaves the replay thread waiting on an empty ring.
+bool Machine::StreamFeeder::SpinUntilRingAtMostHalf() const {
+  for (int check = 0; check < kSleepAfterChecks; ++check) {
+    if (stop_.load(std::memory_order_relaxed) || AnyRingAtMostHalf()) {
+      return true;
+    }
+    for (int i = 0; i < 32; ++i) {
+      SpinPause();
+    }
+  }
+  return false;
+}
+
+bool Machine::StreamFeeder::AnyRingAtMostHalf() const {
+  for (const WorkloadBinding& binding : *bindings_) {
+    if (binding.stream != nullptr && !binding.done &&
+        binding.filled.load(std::memory_order_relaxed) - binding.consumed.load() <=
+            binding.slots / 2) {
+      return true;
+    }
+  }
+  return false;
 }
 
 SimDuration Machine::CompleteAccess(Process& process, PageInfo& unit, uint64_t vpn,

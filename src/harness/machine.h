@@ -8,10 +8,14 @@
 
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -69,12 +73,14 @@ struct MachineConfig {
 
   uint64_t seed = 42;
 
-  // Batched access replay: RunProcessUntil prefetches up to this many ops from a process's
-  // stream per refill and replays them with the virtual stream dispatch hoisted out of the
-  // per-op loop. Streams are machine-state independent (Next sees only the binding's RNG
-  // and the stream's own cursor), so prefetching is invisible to results: any batch size
-  // replays bit-identically to single-stepping (replay_batch_ops = 1, which equivalence
-  // tests use as the reference).
+  // Batched access replay: each process's ops are generated into a ring of slots of this
+  // many ops (one FillBatch call per slot) and RunProcessUntil replays a slot with the
+  // virtual stream dispatch hoisted out of the per-op loop. Slots are filled ahead of
+  // replay by a helper thread while a host CPU is idle, else by RunProcessUntil itself when
+  // it reaches an empty ring. Streams are machine-state independent (FillBatch sees only
+  // the binding's RNG and the stream's own state), so neither the batch size nor which
+  // thread fills can be seen in results: every run replays bit-identically to
+  // single-stepping (replay_batch_ops = 1, which equivalence tests use as the reference).
   uint32_t replay_batch_ops = 64;
 
   // Access-path fast lane: per-process software translation cache (last-hit VMA + a small
@@ -241,18 +247,95 @@ class Machine : private MigrationEnv {
   // submit/commit) or remaps vpns to different units (huge-group split).
   void InvalidateTranslationsFor(const PageInfo& unit);
 
+  // Ops a process's ring holds at `replay_batch_ops`: a whole number of slots, at least
+  // two. Stream generation runs at most this far ahead of replay.
+  static size_t StreamRingOps(uint32_t replay_batch_ops);
+
+  // Ring slots filled by the helper thread rather than by the replay thread, over the
+  // machine's life. Depends on the host's idle CPUs, so it is kept out of
+  // ExperimentResult; read it between Run calls.
+  uint64_t batches_filled_off_thread() const { return feeder_.fills(); }
+
  private:
+  // A process's stream and its op ring. Slot k (k counts from 0 over the binding's life)
+  // sits at index k % slots. The filler publishes slot `filled` with a release store; the
+  // replay thread hands a replayed slot back by bumping `consumed`, so a slot is never
+  // rewritten while it is replayed. Filler and replay fields sit on separate cache lines.
   struct WorkloadBinding {
+    // Fixed once AttachWorkload returns.
     std::unique_ptr<AccessStream> stream;
+    std::vector<MemOp> ops;        // slots * replay_batch_ops.
+    std::vector<uint32_t> counts;  // Ops each slot holds; a short count ends the stream.
+    uint64_t slots = 0;
+    // Filler side. `done`: a short fill saw the stream's end, so the stream is never
+    // called again (single-step replay's one terminating Next()). `consumed_seen` is the
+    // filler's last look at `consumed`, refreshed only when it shows no free slot.
+    alignas(64) std::atomic<uint64_t> filled{0};
     Rng rng;
-    // Batched-replay prefetch buffer: ops[cursor..count) are pending. `exhausted` records
-    // that a short fill already observed the stream's end, so no further stream calls are
-    // made (keeping the stream/RNG interaction identical to single-step replay).
-    std::vector<MemOp> ops;
+    bool done = false;
+    uint64_t consumed_seen = 0;
+    // Replay side: `slot` is the slot being replayed (null before the first), and
+    // slot[cursor..count) are its pending ops. `filled_seen` is the replay thread's last
+    // look at `filled`, refreshed only when it shows the ring empty.
+    alignas(64) std::atomic<uint64_t> consumed{0};
+    uint64_t filled_seen = 0;
+    const MemOp* slot = nullptr;
     size_t cursor = 0;
     size_t count = 0;
-    bool exhausted = false;
+
+    // The one fill path (helper or replay thread): fills up to `max_slots` free slots, one
+    // FillBatch call each, stopping at the stream's end, and publishes them with one
+    // release store. Returns the slots filled.
+    uint64_t Fill(size_t batch, uint64_t max_slots);
+    // Filler side: the slots Fill may write (0 once the stream has ended).
+    uint64_t FreeSlots();
   };
+
+  // The helper thread that fills every binding's ring ahead of replay. One per machine,
+  // started on the first Run that finds a host CPU idle, parked at every Run exit (so
+  // stream state can be read between Run calls with no fill in flight) and joined by the
+  // destructor. CPUs are counted process-wide: each live Machine holds one for its replay
+  // thread, each running helper one more, and a helper is granted only while the count is
+  // below DefaultJobs().
+  class StreamFeeder {
+   public:
+    StreamFeeder(std::deque<WorkloadBinding>* bindings, size_t batch);
+    ~StreamFeeder();
+    StreamFeeder(const StreamFeeder&) = delete;
+    StreamFeeder& operator=(const StreamFeeder&) = delete;
+
+    // Run entry: takes an idle CPU and sets the helper filling; false when none is idle.
+    bool Start();
+    // Run exit: returns once the helper has finished its last fill, and gives the CPU back.
+    void Park();
+    // Called by the replay thread after it hands back a slot and its ring has fallen to
+    // half: wakes the helper if it sleeps.
+    void WakeIfAsleep();
+    uint64_t fills() const { return fills_; }
+
+   private:
+    void Main();
+    void FillUntilStopped();
+    bool SpinUntilRingAtMostHalf() const;
+    bool AnyRingAtMostHalf() const;
+
+    std::deque<WorkloadBinding>* bindings_;
+    const size_t batch_;
+    const uint64_t publish_slots_;  // Slots per Fill call: at least kPublishOps ops.
+    uint64_t fills_ = 0;  // Written by the helper while filling; read after Park.
+    std::atomic<bool> stop_{false};
+    std::atomic<bool> sleeping_{false};  // Set and cleared under mu_.
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool active_ = false;  // Guarded by mu_: the helper should fill.
+    bool parked_ = true;   // Guarded by mu_: the helper is not filling.
+    bool exit_ = false;    // Guarded by mu_.
+    std::thread thread_;   // Last: started lazily, joined before the members above go.
+  };
+
+  // Hands back the slot being replayed and makes the next one current, filling it inline
+  // when no helper runs; false once the stream has ended.
+  bool NextSlot(WorkloadBinding& binding);
 
   // Everything past the fast-lane check: VMA resolution, demand/hint faults, then
   // CompleteAccess, then translation install. The batched replay loop in RunProcessUntil
@@ -304,7 +387,9 @@ class Machine : private MigrationEnv {
   TenantRegistry tenants_;  // After memory_ (holds a view) and metrics_ (stats live there).
 
   std::vector<std::unique_ptr<Process>> processes_;
-  std::vector<WorkloadBinding> bindings_;  // Indexed by pid.
+  std::deque<WorkloadBinding> bindings_;  // Indexed by pid; deque: bindings hold atomics.
+  StreamFeeder feeder_;  // After bindings_: its thread reads them until joined.
+  bool feeding_ = false;  // A helper fills the rings during the current Run.
 };
 
 }  // namespace chronotier

@@ -28,6 +28,15 @@ constexpr uint64_t MaxValuePages(uint64_t value_bytes) {
 }
 
 // A generator of MemOps bound to one process.
+//
+// Threading contract: the machine generates ops ahead of replay into a ring per process,
+// so FillBatch/Next may run on a helper thread, not the thread that calls Machine::Run.
+// Within one Run call exactly one thread calls a given stream. A stream may therefore
+// touch only itself and the Rng it is handed — not the Process, the Machine, or anything
+// else the simulation reads while it runs. Its state (a recorded trace, counters, timing
+// spans) may be read only between Run calls, when no fill is in flight. Up to one ring of
+// ops (Machine::StreamRingOps) may have been generated past the last replayed op, so such
+// state can run that far ahead of the process's completed accesses.
 class AccessStream {
  public:
   virtual ~AccessStream() = default;
@@ -43,10 +52,11 @@ class AccessStream {
   // Fills up to `max` operations into `ops` and returns how many were produced; fewer than
   // `max` means the stream ended. The default implementation delegates to Next() in a loop,
   // so any stream is batchable and the op/RNG sequence is identical to single-stepping —
-  // that equivalence is what lets Machine::RunProcessUntil replay a whole batch per quantum
-  // with the virtual dispatch hoisted out of the per-op loop (tests/bitwise_equivalence_test
-  // holds batched and single-step replay to the same fingerprint). Streams with cheap bulk
-  // generation may override it; overrides must draw from `rng` exactly as Next() would.
+  // that equivalence is what lets the machine generate a slot of ops per call, ahead of
+  // replay and with the virtual dispatch hoisted out of the per-op loop
+  // (tests/bitwise_equivalence_test holds batched and single-step replay to the same
+  // fingerprint). Streams with cheap bulk generation may override it; overrides must draw
+  // from `rng` exactly as Next() would.
   virtual size_t FillBatch(Rng& rng, MemOp* ops, size_t max) {
     size_t produced = 0;
     while (produced < max && Next(rng, &ops[produced])) {

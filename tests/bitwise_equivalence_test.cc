@@ -16,7 +16,9 @@
 //     Streams are machine-state independent — an op sequence depends only on the stream's
 //     own state and its Rng — so prefetching ops ahead of execution is invisible. Checked
 //     over the whole field list, tenant rows included (FirstResultDifference), across the
-//     same schedule matrix.
+//     same schedule matrix. For the same reason it does not matter which thread generates
+//     the ops: a helper filling the op rings ahead of replay, or the replay thread itself
+//     (StreamFeederEquivalenceTest).
 //
 // A third test pins the field list itself: perturbing any one field must be named by
 // FirstResultDifference and, outside the three exclusions, move the fingerprint.
@@ -41,6 +43,8 @@
 
 #include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
+#include "src/harness/machine.h"
+#include "src/harness/runner.h"
 #include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
 #include "src/workloads/tenant_kv.h"
@@ -154,9 +158,9 @@ ExperimentConfig NTierExperiment() {
 
 // Declared strict-budget tenants, one open-loop Zipfian KV server each, on the N-tier
 // tree: the only schedule whose op streams come from the Zipf sampler.
-ExperimentConfig TenantExperiment() {
+ExperimentConfig TenantExperiment(int tenants = 4) {
   ExperimentConfig config = NTierExperiment();
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < tenants; ++i) {
     TenantSpec tenant;
     tenant.name = "t" + std::to_string(i);
     tenant.residency_budget_pages = {768};  // Fast node capped; endpoints unlimited.
@@ -166,10 +170,10 @@ ExperimentConfig TenantExperiment() {
   return config;
 }
 
-std::vector<ProcessSpec> TenantKvProcs(int count) {
+std::vector<ProcessSpec> TenantKvProcs(int count, uint64_t items_per_tenant = 160) {
   TenantKvConfig w;
   w.virtual_tenants = 16;
-  w.items_per_tenant = 160;
+  w.items_per_tenant = items_per_tenant;
   w.value_bytes = kBasePageSize;
   w.churn_period_ops = 10000;
   w.churn_stride = 5;
@@ -385,6 +389,76 @@ TEST(BatchReplayEquivalenceTest, Tenants) {
   ExpectBatchEquivalence("tenants/Chrono", TenantExperiment(),
                          FindPolicy(TopologyPolicySet(FastGeometry()), "Chrono"),
                          TenantKvProcs(4));
+}
+
+// --- helper-thread vs inline stream generation ---
+//
+// Run (a) is a normal run: with a host CPU idle, a helper thread fills the op rings ahead
+// of replay. Run (b) first builds DefaultJobs() idle machines, which spend the process's
+// CPU budget, so no helper is granted and the replay thread fills every slot itself.
+// Which thread generates the ops must not show in any result field.
+
+void ExpectFeederEquivalence(const std::string& key, ExperimentConfig config,
+                             const NamedPolicyFactory& named,
+                             const std::vector<ProcessSpec>& procs) {
+  for (const uint32_t batch : {1u, 7u, 64u}) {
+    config.replay_batch_ops = batch;
+    uint64_t fills = 0;
+    const Experiment::FinishFn count_fills = [&fills](Machine& machine, ExperimentResult&) {
+      fills = machine.batches_filled_off_thread();
+    };
+    const ExperimentResult helped = Experiment::Run(config, named.make, procs, nullptr,
+                                                    count_fills);
+    EXPECT_GT(fills, 0u) << key << ": batch=" << batch << " never granted a helper";
+
+    std::vector<std::unique_ptr<Machine>> idle;
+    for (int i = 0; i < DefaultJobs(); ++i) {
+      idle.push_back(std::make_unique<Machine>(MachineConfig::StandardTwoTier(1024),
+                                               named.make()));
+    }
+    const ExperimentResult inlined = Experiment::Run(config, named.make, procs, nullptr,
+                                                     count_fills);
+    EXPECT_EQ(fills, 0u) << key << ": batch=" << batch << " got a helper past the budget";
+    ExpectResultsIdentical(helped, inlined,
+                           key + ": batch=" + std::to_string(batch) + " helper vs inline");
+  }
+}
+
+TEST(StreamFeederEquivalenceTest, Gaussian) {
+  if (DefaultJobs() < 2) {
+    GTEST_SKIP() << "one host CPU: no helper is ever granted";
+  }
+  const auto set = StandardPolicySet(FastGeometry());
+  for (const char* policy : {"Chrono", "Linux-NB"}) {
+    ExpectFeederEquivalence(std::string("standard/") + policy, SmallExperiment(),
+                            FindPolicy(set, policy), GaussianProcs(2));
+  }
+}
+
+TEST(StreamFeederEquivalenceTest, Segmented) {
+  // Finite-phase streams: a short fill ends the stream on the helper in (a) and on the
+  // replay thread in (b).
+  if (DefaultJobs() < 2) {
+    GTEST_SKIP() << "one host CPU: no helper is ever granted";
+  }
+  const auto set = StandardPolicySet(FastGeometry());
+  for (const char* policy : {"Chrono", "Linux-NB"}) {
+    ExpectFeederEquivalence(std::string("segmented/") + policy, SmallExperiment(),
+                            FindPolicy(set, policy), SegmentedProcs(2));
+  }
+}
+
+TEST(StreamFeederEquivalenceTest, TenantKv) {
+  // Eight rings for one helper: the round-robin fill and the half-ring wakeups. Half-size
+  // servers, so eight fit the machine.
+  if (DefaultJobs() < 2) {
+    GTEST_SKIP() << "one host CPU: no helper is ever granted";
+  }
+  const auto set = TopologyPolicySet(FastGeometry());
+  for (const char* policy : {"Chrono", "Linux-NB"}) {
+    ExpectFeederEquivalence(std::string("tenants/") + policy, TenantExperiment(8),
+                            FindPolicy(set, policy), TenantKvProcs(8, /*items_per_tenant=*/80));
+  }
 }
 
 // --- field-list coverage ---

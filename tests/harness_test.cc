@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/harness/experiment.h"
 #include "src/harness/machine.h"
+#include "src/harness/runner.h"
 #include "src/workloads/patterns.h"
 
 namespace chronotier {
@@ -246,6 +249,92 @@ TEST(MachineTest, RunToCompletionStopsAtStreamEnd) {
   EXPECT_TRUE(machine.AllProcessesFinished());
   EXPECT_LT(elapsed, kMinute);
   EXPECT_EQ(process.completed_accesses(), 10000u);
+}
+
+// What a finite stream saw of the machine: every FillBatch call as (max, returned), and
+// the calls made after one had already returned short.
+struct StreamCallLog {
+  std::vector<std::pair<size_t, size_t>> calls;
+  uint64_t generated = 0;
+  uint64_t calls_after_end = 0;
+  bool ended = false;
+};
+
+class CountingStream : public AccessStream {
+ public:
+  CountingStream(UniformConfig config, StreamCallLog* log) : inner_(config), log_(log) {}
+
+  void Init(Process& process, Rng& rng) override { inner_.Init(process, rng); }
+  bool Next(Rng& rng, MemOp* op) override { return inner_.Next(rng, op); }
+  size_t FillBatch(Rng& rng, MemOp* ops, size_t max) override {
+    if (log_->ended) {
+      ++log_->calls_after_end;
+    }
+    const size_t produced = inner_.FillBatch(rng, ops, max);
+    log_->calls.emplace_back(max, produced);
+    log_->generated += produced;
+    log_->ended = log_->ended || produced < max;
+    return produced;
+  }
+
+ private:
+  UniformStream inner_;
+  StreamCallLog* log_;
+};
+
+// Who fills the op rings: a helper thread in every Run, the replay thread in every Run
+// (idle machines have taken every host CPU first), or each in turn, one Run slice apiece.
+enum class Filler { kHelper, kInline, kAlternating };
+
+// Replays a finite stream to its end in short Run slices.
+StreamCallLog RunCountingStream(uint32_t batch, uint64_t op_limit, Filler filler) {
+  MachineConfig config = SmallMachine();
+  config.replay_batch_ops = batch;
+  Machine machine(config, std::make_unique<NullPolicy>());
+  Process& process = machine.CreateProcess("counted");
+  UniformConfig w;
+  w.working_set_bytes = 256 * kBasePageSize;
+  w.op_limit = op_limit;
+  StreamCallLog log;
+  machine.AttachWorkload(process, std::make_unique<CountingStream>(w, &log), 7);
+  machine.Start();
+  const uint64_t ring = Machine::StreamRingOps(batch);
+  std::vector<std::unique_ptr<Machine>> idle;
+  for (int slice = 0; slice < 100000 && !machine.AllProcessesFinished(); ++slice) {
+    const bool spend_cpus =
+        filler == Filler::kInline || (filler == Filler::kAlternating && slice % 2 == 1);
+    idle.clear();
+    for (int i = 0; spend_cpus && i < DefaultJobs(); ++i) {
+      idle.push_back(std::make_unique<Machine>(SmallMachine(), std::make_unique<NullPolicy>()));
+    }
+    // An inline slice (~2,000 ops) outlasts a full ring, so it also fills slots itself.
+    machine.Run((spend_cpus ? 200 : 20) * kMicrosecond);
+    // Stream state may be read between Run calls: no fill is in flight.
+    EXPECT_LE(log.generated - process.completed_accesses(), ring) << "slice " << slice;
+  }
+  EXPECT_TRUE(machine.AllProcessesFinished());
+  EXPECT_EQ(process.completed_accesses(), log.generated);
+  EXPECT_EQ(machine.batches_filled_off_thread() > 0, filler != Filler::kInline)
+      << "batch=" << batch;
+  return log;
+}
+
+TEST(StreamFeederTest, StreamCallContract) {
+  if (DefaultJobs() < 2) {
+    GTEST_SKIP() << "one host CPU: no helper is ever granted";
+  }
+  // The stream ends in a one-op last fill at batch 7 (20,000 = 2,857 * 7 + 1) and in an
+  // empty one at batch 64 (19,968 = 312 * 64).
+  for (const auto& [batch, ops] : {std::pair<uint32_t, uint64_t>{7, 20000}, {64, 19968}}) {
+    const StreamCallLog inlined = RunCountingStream(batch, ops, Filler::kInline);
+    EXPECT_EQ(inlined.calls_after_end, 0u);
+    EXPECT_EQ(inlined.generated, ops);
+    for (const Filler filler : {Filler::kHelper, Filler::kAlternating}) {
+      const StreamCallLog log = RunCountingStream(batch, ops, filler);
+      EXPECT_EQ(log.calls_after_end, 0u);
+      EXPECT_EQ(log.calls, inlined.calls) << "batch=" << batch;
+    }
+  }
 }
 
 TEST(MachineTest, AccessDelayThrottlesProcess) {
