@@ -17,7 +17,9 @@
 #include "src/harness/machine.h"
 #include "src/migration/migration_engine.h"
 #include "src/topology/topology.h"
+#include "src/trace/tracer.h"
 #include "src/workloads/patterns.h"
+#include "tests/engine_trace_testutil.h"
 
 namespace chronotier {
 namespace {
@@ -233,6 +235,57 @@ TEST_F(FabricEngineTest, LinkStillDownAtRerouteParksAtSource) {
   EXPECT_EQ(env_->memory_.node(kFastNode).used_pages(), fast_used);
   EXPECT_EQ(engine_->inflight_reserved_pages(), 0u);
   ExpectNoBookingsWhileDown();
+}
+
+// Counts the copy passes the engine hands to the fault oracle; never injects a fault.
+class CountingOracle : public CopyFaultOracle {
+ public:
+  CopyFault OnCopyPassDone(NodeId, NodeId, uint64_t, int, SimTime) override {
+    ++passes_seen_;
+    return CopyFault::kNone;
+  }
+
+  int passes_seen_ = 0;
+};
+
+TEST_F(FabricEngineTest, RerouteBudgetSpentParksAtSourceWithoutOracle) {
+  MigrationEngineConfig config;
+  config.max_reroute_attempts = 0;
+  engine_ = std::make_unique<MigrationEngine>(config, env_.get(), &stats_);
+  CountingOracle oracle;
+  engine_->set_fault_oracle(&oracle);
+  Tracer tracer(MigrationTraceConfig());
+  engine_->set_tracer(&tracer);
+
+  const uint64_t fast_used = env_->memory_.node(kFastNode).used_pages();
+  ASSERT_TRUE(Submit(0, kFastNode).admitted);
+  // The link comes back before the pass finishes, so a re-route would find a path; the
+  // spent budget alone parks the transaction.
+  env_->queue_.ScheduleAt(kCopyTime / 2, [this](SimTime now) {
+    TakeLinkDown(1, kLeafNode, /*until=*/now + kCopyTime);
+  });
+  env_->queue_.ScheduleAt(3 * kCopyTime / 2, [this](SimTime) { RestoreLink(1, kLeafNode); });
+  Drain();
+
+  EXPECT_EQ(stats_.reroutes, 0u);
+  EXPECT_EQ(stats_.reroute_parks, 1u);
+  EXPECT_EQ(stats_.TotalParked(), 1u);
+  EXPECT_EQ(stats_.TotalCommitted(), 0u);
+  EXPECT_EQ(stats_.copy_attempts, 1u);
+  EXPECT_EQ(oracle.passes_seen_, 0);  // A failed leg never reaches the fault oracle.
+  EXPECT_EQ(page(0).node, kLeafNode);
+  EXPECT_FALSE(page(0).Has(kPageMigrating));
+  EXPECT_EQ(env_->memory_.node(kFastNode).used_pages(), fast_used);
+  EXPECT_EQ(engine_->inflight_reserved_pages(), 0u);
+  EXPECT_EQ(engine_->inflight_transactions(), 0u);
+
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationReroute),
+            std::vector<uint64_t>{1});  // b = the re-route this pass would have been.
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationPark),
+            std::vector<uint64_t>{1});  // b = attempt.
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationCopyFault).empty());
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationDirtyAbort).empty());
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationAbort).empty());
 }
 
 // --- scripted FabricFaultDriver events (exact times, no Rng draws) ---

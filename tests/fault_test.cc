@@ -20,7 +20,9 @@
 #include "src/fault/invariant_auditor.h"
 #include "src/harness/machine.h"
 #include "src/migration/migration_engine.h"
+#include "src/trace/tracer.h"
 #include "src/workloads/patterns.h"
+#include "tests/engine_trace_testutil.h"
 
 namespace chronotier {
 namespace {
@@ -299,6 +301,75 @@ TEST_F(FaultedEngineTest, BandwidthCollapseWindowSlowsBookedCopies) {
                   .admitted);
   Drain();
   EXPECT_EQ(env_->queue_.now(), 11 * kMillisecond);  // Starts at 10ms, 1ms copy.
+}
+
+TEST_F(FaultedEngineTest, SyncTransientFaultRetriesBackToBackThenCommits) {
+  Build({CopyFault::kTransient});
+  Tracer tracer(MigrationTraceConfig());
+  engine_->set_tracer(&tracer);
+  const MigrationTicket ticket =
+      engine_->Submit(*vma_, page(0), kFastNode, MigrationClass::kSync,
+                      MigrationSource::kFaultPath, 0);
+  ASSERT_TRUE(ticket.admitted);
+  EXPECT_EQ(ticket.outcome, MigrationOutcome::kCommitted);
+  // Inline retries run back-to-back (no backoff: the faulting thread is stalled anyway);
+  // the remap overhead is charged once, for the commit.
+  EXPECT_EQ(ticket.sync_latency,
+            2 * kCopyTime + env_->memory_.migration_software_overhead());
+  EXPECT_EQ(page(0).node, kFastNode);
+  EXPECT_FALSE(page(0).Has(kPageMigrating));
+  EXPECT_EQ(stats_.committed[static_cast<size_t>(MigrationClass::kSync)], 1u);
+  EXPECT_EQ(stats_.injected_transient_faults, 1u);
+  EXPECT_EQ(stats_.copy_attempts, 2u);
+  EXPECT_EQ(oracle_->passes_seen_, 2);
+  EXPECT_EQ(env_->queue_.pending(), 0u);
+
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationCopyFault),
+            std::vector<uint64_t>{1});
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationDirtyAbort).empty());
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationAbort).empty());
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationPark).empty());
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationCommit).size(), 1u);
+}
+
+TEST_F(FaultedEngineTest, ReclaimDemotionPersistentFaultQuarantinesSlowFrames) {
+  Build({CopyFault::kPersistent});
+  // Move page 0 to the fast tier so reclaim can demote it.
+  ASSERT_TRUE(env_->memory_.node(kFastNode).TryAllocate(1));
+  env_->memory_.FreePages(kSlowNode, 1);
+  page(0).node = kFastNode;
+  const uint64_t slow_free = env_->memory_.node(kSlowNode).free_pages();
+  const uint64_t slow_allocated = env_->memory_.node(kSlowNode).allocated_pages();
+  Tracer tracer(MigrationTraceConfig());
+  engine_->set_tracer(&tracer);
+
+  const MigrationTicket ticket =
+      engine_->Submit(*vma_, page(0), kSlowNode, MigrationClass::kReclaim,
+                      MigrationSource::kReclaimDaemon, 0);
+  ASSERT_TRUE(ticket.admitted);
+  EXPECT_EQ(ticket.outcome, MigrationOutcome::kParked);
+  EXPECT_EQ(page(0).node, kFastNode);  // Parked at its source.
+  EXPECT_FALSE(page(0).Has(kPageMigrating));
+  EXPECT_EQ(stats_.parked[static_cast<size_t>(MigrationClass::kReclaim)], 1u);
+  EXPECT_EQ(stats_.injected_persistent_faults, 1u);
+  EXPECT_EQ(stats_.quarantined_pages, 1u);
+  EXPECT_EQ(stats_.copy_attempts, 1u);
+  EXPECT_EQ(stats_.TotalCommitted(), 0u);
+  // The reserved slow-tier frame is quarantined, not freed.
+  const MemoryTier& slow = env_->memory_.node(kSlowNode);
+  EXPECT_EQ(slow.quarantined_pages(), 1u);
+  EXPECT_EQ(slow.free_pages(), slow_free - 1);
+  EXPECT_EQ(slow.allocated_pages(), slow_allocated);
+  EXPECT_EQ(env_->promotion_refusals_, 0u);  // A demotion, not a failed promotion.
+  EXPECT_EQ(env_->queue_.pending(), 0u);
+
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationCopyFault),
+            std::vector<uint64_t>{2});
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationPark),
+            std::vector<uint64_t>{1});  // b = attempt.
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationDirtyAbort).empty());
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationAbort).empty());
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationCommit).empty());
 }
 
 // --- full-machine chaos runs ---

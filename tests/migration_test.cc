@@ -10,7 +10,9 @@
 #include "src/harness/machine.h"
 #include "src/migration/migration_engine.h"
 #include "src/topology/topology.h"
+#include "src/trace/tracer.h"
 #include "src/workloads/patterns.h"
+#include "tests/engine_trace_testutil.h"
 
 namespace chronotier {
 namespace {
@@ -167,6 +169,41 @@ TEST_F(MigrationEngineTest, RetriesExhaustedFinalAbortReleasesReservedFrames) {
   EXPECT_EQ(env_->memory_.node(kFastNode).used_pages(), fast_used);  // Frames released.
   EXPECT_EQ(engine_->inflight_reserved_pages(), 0u);
   EXPECT_EQ(env_->promotion_refusals_, 1u);  // Failed promotion is reported to the host.
+}
+
+TEST_F(MigrationEngineTest, DirtyAbortsBackOffExponentiallyAndTraceTheirAttempt) {
+  Tracer tracer(MigrationTraceConfig());
+  engine_->set_tracer(&tracer);
+  ASSERT_TRUE(SubmitAsync(0).admitted);
+  const EventId writer = env_->queue_.SchedulePeriodic(
+      100 * kMicrosecond, [this](SimTime) { ++page(0).write_gen; });
+  env_->queue_.RunUntil(50 * kMillisecond);
+  env_->queue_.Cancel(writer);
+
+  EXPECT_EQ(stats_.aborted[static_cast<size_t>(MigrationClass::kAsync)], 1u);
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationDirtyAbort),
+            (std::vector<uint64_t>{1, 2, 3}));  // b = attempt.
+  EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationAbort),
+            std::vector<uint64_t>{3});  // b = attempts used.
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationPark).empty());
+  EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationCopyFault).empty());
+
+  // Pass k (k >= 2) books no earlier than retry_backoff * 2^(k-2) after pass k-1 ends.
+  std::vector<SimTime> dirty_at;
+  std::vector<SimTime> copy_at;
+  tracer.ForEachEvent([&](const TraceEvent& event) {
+    if (event.type == TraceEventType::kMigrationDirtyAbort) dirty_at.push_back(event.ts);
+    if (event.type == TraceEventType::kMigrationCopy) copy_at.push_back(event.ts);
+  });
+  const SimDuration backoff = MigrationEngineConfig().retry_backoff;
+  ASSERT_EQ(dirty_at.size(), 3u);
+  ASSERT_EQ(copy_at.size(), 3u);
+  EXPECT_EQ(copy_at[0], 0);
+  EXPECT_EQ(dirty_at[0], kCopyTime);
+  EXPECT_EQ(copy_at[1], dirty_at[0] + backoff);
+  EXPECT_EQ(dirty_at[1], copy_at[1] + kCopyTime);
+  EXPECT_EQ(copy_at[2], dirty_at[1] + 2 * backoff);
+  EXPECT_EQ(dirty_at[2], copy_at[2] + kCopyTime);
 }
 
 TEST_F(MigrationEngineTest, BacklogRefusesSyncBeforeAsync) {

@@ -26,16 +26,6 @@ TieredMemory SmallMemory(uint64_t fast_pages = 1024, uint64_t slow_pages = 4096)
       TopologySpec::Star({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)}));
 }
 
-QosRequest Promote(int32_t owner, uint64_t pages, SimTime now = 0) {
-  QosRequest request;
-  request.owner_pid = owner;
-  request.from = kSlowNode;
-  request.to = kFastNode;
-  request.pages = pages;
-  request.now = now;
-  return request;
-}
-
 TEST(TenantRegistryTest, ShippedProgramsAreRegistered) {
   EXPECT_TRUE(IsRegisteredQosProgram("strict-budget"));
   EXPECT_TRUE(IsRegisteredQosProgram("borrow"));
