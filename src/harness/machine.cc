@@ -1,6 +1,7 @@
 #include "src/harness/machine.h"
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "src/common/check.h"
@@ -50,6 +51,14 @@ std::vector<std::string> MachineConfig::Validate() const {
 
   require(migration.max_copy_attempts >= 1, "migration.max_copy_attempts must be >= 1");
   require(migration.retry_backoff >= 0, "migration.retry_backoff must be >= 0");
+  // The deepest async retry books at now + (retry_backoff << kMaxBackoffShift).
+  constexpr SimDuration kMaxRetryBackoff =
+      std::numeric_limits<SimDuration>::max() >> MigrationEngine::kMaxBackoffShift;
+  require(migration.retry_backoff <= kMaxRetryBackoff,
+          "migration.retry_backoff must be <= " + std::to_string(kMaxRetryBackoff) +
+              " ns (retry_backoff << " + std::to_string(MigrationEngine::kMaxBackoffShift) +
+              " must fit SimDuration)");
+  require(migration.max_reroute_attempts >= 0, "migration.max_reroute_attempts must be >= 0");
   require(migration.sync_slack >= 0, "migration.sync_slack must be >= 0");
   require(migration.async_backlog_limit >= 0, "migration.async_backlog_limit must be >= 0");
   require(migration.reclaim_backlog_limit >= 0,

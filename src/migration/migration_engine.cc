@@ -208,7 +208,6 @@ MigrationTicket MigrationEngine::Submit(Vma& vma, PageInfo& unit, NodeId target,
     stored.slab_key = slab_key;
     inflight_reserved_pages_ += pages;
     inflight_pages_by_node_[static_cast<size_t>(target)] += pages;
-    peak_inflight_ = std::max(peak_inflight_, static_cast<uint64_t>(inflight_.size()));
     // A surviving route exists (checked above) and link state cannot change inside Submit.
     CHECK(ScheduleAsyncPass(stored, now, now)) << "async booking failed post-admission";
     return ticket;
@@ -223,38 +222,12 @@ MigrationTicket MigrationEngine::Submit(Vma& vma, PageInfo& unit, NodeId target,
   // Inline transactions run to completion with no intervening events, so the surviving
   // route found by the admission pre-check above cannot disappear mid-loop.
   CHECK(BookCopy(txn, now, now, &booking)) << "inline booking failed post-admission";
-  ticket.outcome = MigrationOutcome::kCommitted;
-  for (;;) {
-    const CopyFault fault =
-        fault_oracle_ == nullptr
-            ? CopyFault::kNone
-            : fault_oracle_->OnCopyPassDone(txn.from, txn.to, txn.pages, txn.attempt,
-                                            booking.finish);
-    if (fault == CopyFault::kNone) {
-      Commit(txn, booking.finish);
-      break;
-    }
-    if (fault == CopyFault::kPersistent) {
-      EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationCopyFault,
-                booking.finish, txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
-                /*b=persistent*/ 2);
-      ParkQuarantined(txn, booking.finish);
-      ticket.outcome = MigrationOutcome::kParked;
-      break;
-    }
-    ++stats_->injected_transient_faults;
-    EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationCopyFault,
-              booking.finish, txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
-              /*b=transient*/ 1);
-    if (txn.attempt >= config_.max_copy_attempts) {
-      ParkTransient(txn, booking.finish);
-      ticket.outcome = MigrationOutcome::kParked;
-      break;
-    }
+  PassVerdict pass;
+  while ((pass = ResolvePass(txn, booking.finish)) == PassVerdict::kRetry) {
     CHECK(BookCopy(txn, booking.finish, booking.finish, &booking))
         << "inline re-booking failed post-admission";
   }
-  Retire(txn);
+  ticket.outcome = Finish(txn, pass, booking.finish);
   if (klass == MigrationClass::kSync) {
     // The faulting access stalls for queueing + every copy pass; remap overhead is charged
     // only when the transaction actually committed.
@@ -358,7 +331,20 @@ void MigrationEngine::OnCopyDone(uint64_t key, SimTime now) {
   if (live == nullptr) {
     return;
   }
-  Transaction& txn = *live;
+  PassVerdict pass = ResolvePass(*live, now);
+  if (pass == PassVerdict::kRetry) {
+    // Exponential backoff: pass k starts no earlier than now + retry_backoff * 2^(k-2).
+    const int shift = std::min(live->attempt - 1, kMaxBackoffShift);
+    if (ScheduleAsyncPass(*live, now, now + (config_.retry_backoff << shift))) {
+      return;
+    }
+    ++stats_->reroute_parks;  // Down links partitioned the pair since the last pass.
+    pass = PassVerdict::kPark;
+  }
+  Finish(*live, pass, now);
+}
+
+MigrationEngine::PassVerdict MigrationEngine::ResolvePass(Transaction& txn, SimTime now) {
   CHECK(txn.unit->present() && txn.unit->node == txn.from)
       << SimError("in-flight migration source vanished", now)
              .Add("vpn", txn.unit->vpn)
@@ -368,18 +354,10 @@ void MigrationEngine::OnCopyDone(uint64_t key, SimTime now) {
              .Add("to", txn.to)
              .Format();
 
-  const auto finish_inflight = [this, key](Transaction& finished) {
-    Retire(finished);
-    inflight_reserved_pages_ -= finished.pages;
-    inflight_pages_by_node_[static_cast<size_t>(finished.to)] -= finished.pages;
-    inflight_.Erase(key);
-  };
-
   // Fabric link failure beats everything else: a pass that crossed a link that went down
   // mid-flight never delivered its bytes, so neither the fault oracle nor the dirty check
-  // applies. Abort the pass and re-route it over the surviving fabric (BookCopy recomputes
-  // the path); when the re-route budget is exhausted — or no surviving path remains — the
-  // transaction parks at its source with its reserved frames released.
+  // applies. The retry re-routes over the surviving fabric (BookCopy recomputes the path).
+  // Only async passes can be flagged: OnLinkDown walks inflight_.
   if (txn.leg_failed) {
     txn.leg_failed = false;
     EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationReroute, now,
@@ -388,138 +366,98 @@ void MigrationEngine::OnCopyDone(uint64_t key, SimTime now) {
     if (txn.reroute_attempts < config_.max_reroute_attempts) {
       ++txn.reroute_attempts;
       ++stats_->reroutes;
-      const int shift = std::min(txn.attempt - 1, 20);
-      if (ScheduleAsyncPass(txn, now, now + (config_.retry_backoff << shift))) {
-        return;
-      }
-      // Partitioned right now: fall through and park at the source.
+      return PassVerdict::kRetry;
     }
     ++stats_->reroute_parks;
-    ParkTransient(txn, now);
-    finish_inflight(txn);
-    return;
+    return PassVerdict::kPark;
   }
 
-  // Injected copy faults are checked first: a pass that failed in hardware never produced
+  // Injected copy faults are checked next: a pass that failed in hardware never produced
   // a consistent target copy, so its dirty state is irrelevant.
   const CopyFault fault =
       fault_oracle_ == nullptr
           ? CopyFault::kNone
           : fault_oracle_->OnCopyPassDone(txn.from, txn.to, txn.pages, txn.attempt, now);
-  if (fault == CopyFault::kPersistent) {
+  if (fault != CopyFault::kNone) {
+    const bool persistent = fault == CopyFault::kPersistent;
+    ++(persistent ? stats_->injected_persistent_faults : stats_->injected_transient_faults);
     EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationCopyFault, now,
-              txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id, /*b=persistent*/ 2);
-    ParkQuarantined(txn, now);
-    finish_inflight(txn);
-    return;
-  }
-  if (fault == CopyFault::kTransient) {
-    ++stats_->injected_transient_faults;
-    EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationCopyFault, now,
-              txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id, /*b=transient*/ 1);
-    if (txn.attempt >= config_.max_copy_attempts) {
-      ParkTransient(txn, now);
-      finish_inflight(txn);
-      return;
+              txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
+              /*b=transient 1, persistent 2*/ persistent ? 2 : 1);
+    if (persistent) {
+      return PassVerdict::kQuarantine;
     }
-    // Transient (ECC-style) failure: reuse the dirty-abort exponential backoff.
-    const int shift = std::min(txn.attempt - 1, 20);
-    if (!ScheduleAsyncPass(txn, now, now + (config_.retry_backoff << shift))) {
-      ++stats_->reroute_parks;  // Down links partitioned the pair since the last pass.
-      ParkTransient(txn, now);
-      finish_inflight(txn);
-    }
-    return;
+    return txn.attempt >= config_.max_copy_attempts ? PassVerdict::kPark : PassVerdict::kRetry;
   }
 
+  // A store landed during the copy: the target copy is stale. Inline passes are always
+  // clean here — no event runs between their booking and this check.
   if (txn.unit->write_gen != txn.write_gen_at_copy) {
-    // A store landed during the copy: the target copy is stale. Abort this pass.
     ++stats_->dirty_aborted_copies;
     EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationDirtyAbort, now,
               txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
               static_cast<uint64_t>(txn.attempt));
-    if (txn.attempt >= config_.max_copy_attempts) {
-      FinalAbort(txn, now);
-      finish_inflight(txn);
-      return;
-    }
-    // Retry with exponential backoff: attempt k starts no earlier than
-    // now + retry_backoff * 2^(k-2).
-    const int shift = std::min(txn.attempt - 1, 20);
-    const SimDuration backoff = config_.retry_backoff << shift;
-    if (!ScheduleAsyncPass(txn, now, now + backoff)) {
-      ++stats_->reroute_parks;  // Down links partitioned the pair since the last pass.
-      ParkTransient(txn, now);
-      finish_inflight(txn);
-    }
-    return;
+    return txn.attempt >= config_.max_copy_attempts ? PassVerdict::kAbort
+                                                    : PassVerdict::kRetry;
   }
-
-  Commit(txn, now);
-  finish_inflight(txn);
+  return PassVerdict::kCommit;
 }
 
-void MigrationEngine::Commit(Transaction& txn, SimTime now) {
+MigrationOutcome MigrationEngine::Finish(Transaction& txn, PassVerdict verdict, SimTime now) {
+  CHECK(verdict != PassVerdict::kRetry) << "a retried pass is not a terminal step";
   TieredMemory& memory = env_->memory();
-  memory.FreePages(txn.from, txn.pages);
-  env_->ApplyMigration(*txn.vma, *txn.unit, txn.from, txn.to);
-  // Unmap, TLB shootdown, remap, LRU bookkeeping — charged at commit only; aborted copies
-  // waste bandwidth but never a shootdown.
-  env_->ChargeMigrationKernelTime(memory.migration_software_overhead());
-
-  ++stats_->committed[static_cast<size_t>(txn.klass)];
-  stats_->committed_pages += txn.pages;
-  const int bucket = std::min(txn.attempt, kMigrationRetryBuckets - 1);
-  ++stats_->retry_histogram[static_cast<size_t>(bucket)];
-  stats_->MixIntoCommitHash(static_cast<uint64_t>(txn.unit->owner));
-  stats_->MixIntoCommitHash(txn.unit->vpn);
-  stats_->MixIntoCommitHash(static_cast<uint64_t>(txn.to));
-  stats_->MixIntoCommitHash(static_cast<uint64_t>(now));
-  EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationCommit, now,
-            txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id, txn.pages);
-}
-
-void MigrationEngine::FinalAbort(Transaction& txn, SimTime now) {
-  // Release the reserved target frames; the unit never left its source node.
-  env_->memory().FreePages(txn.to, txn.pages);
-  ++stats_->aborted[static_cast<size_t>(txn.klass)];
-  if (txn.to == kFastNode) {
-    env_->OnPromotionRefused();
+  const size_t klass = static_cast<size_t>(txn.klass);
+  MigrationOutcome outcome = MigrationOutcome::kParked;
+  TraceEventType event = TraceEventType::kMigrationPark;
+  uint64_t payload = static_cast<uint64_t>(txn.attempt);
+  if (verdict == PassVerdict::kCommit) {
+    memory.FreePages(txn.from, txn.pages);
+    env_->ApplyMigration(*txn.vma, *txn.unit, txn.from, txn.to);
+    // Unmap, TLB shootdown, remap, LRU bookkeeping — charged at commit only; aborted copies
+    // waste bandwidth but never a shootdown.
+    env_->ChargeMigrationKernelTime(memory.migration_software_overhead());
+    ++stats_->committed[klass];
+    stats_->committed_pages += txn.pages;
+    const int bucket = std::min(txn.attempt, kMigrationRetryBuckets - 1);
+    ++stats_->retry_histogram[static_cast<size_t>(bucket)];
+    stats_->MixIntoCommitHash(static_cast<uint64_t>(txn.unit->owner));
+    stats_->MixIntoCommitHash(txn.unit->vpn);
+    stats_->MixIntoCommitHash(static_cast<uint64_t>(txn.to));
+    stats_->MixIntoCommitHash(static_cast<uint64_t>(now));
+    outcome = MigrationOutcome::kCommitted;
+    event = TraceEventType::kMigrationCommit;
+    payload = txn.pages;
+  } else {
+    // The unit never left its source. After a persistent copy fault the reserved target
+    // frames are suspect and must not be handed back out.
+    if (verdict == PassVerdict::kQuarantine) {
+      memory.node(txn.to).QuarantineAllocated(txn.pages);
+      stats_->quarantined_pages += txn.pages;
+    } else {
+      memory.FreePages(txn.to, txn.pages);
+    }
+    if (verdict == PassVerdict::kAbort) {
+      outcome = MigrationOutcome::kAborted;
+      event = TraceEventType::kMigrationAbort;
+      ++stats_->aborted[klass];
+    } else {
+      ++stats_->parked[klass];
+    }
+    if (txn.to == kFastNode) {
+      env_->OnPromotionRefused();
+    }
   }
-  EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationAbort, now,
-            txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
-            static_cast<uint64_t>(txn.attempt));
-}
+  EmitTrace(tracer_, TraceCategory::kMigration, event, now, txn.unit->owner, txn.unit->vpn,
+            txn.from, txn.to, txn.id, payload);
 
-void MigrationEngine::ParkTransient(Transaction& txn, SimTime now) {
-  // Retries exhausted on transient copy faults: the frames are healthy, so they go back to
-  // the free list. The unit stays mapped at its source — no commit cost, nothing lost.
-  env_->memory().FreePages(txn.to, txn.pages);
-  CountPark(txn, now);
-}
-
-void MigrationEngine::ParkQuarantined(Transaction& txn, SimTime now) {
-  // Persistent copy fault: the reserved target frames are suspect and must not be handed
-  // back out. Quarantine them; the unit stays mapped at its source.
-  env_->memory().node(txn.to).QuarantineAllocated(txn.pages);
-  ++stats_->injected_persistent_faults;
-  stats_->quarantined_pages += txn.pages;
-  CountPark(txn, now);
-}
-
-void MigrationEngine::CountPark(const Transaction& txn, SimTime now) {
-  ++stats_->parked[static_cast<size_t>(txn.klass)];
-  if (txn.to == kFastNode) {
-    env_->OnPromotionRefused();
-  }
-  EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationPark, now,
-            txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
-            static_cast<uint64_t>(txn.attempt));
-}
-
-void MigrationEngine::Retire(const Transaction& txn) {
   txn.unit->ClearFlag(kPageMigrating);
   admission_.OnRetire(txn.source, txn.pages);
+  if (txn.slab_key != 0) {
+    inflight_reserved_pages_ -= txn.pages;
+    inflight_pages_by_node_[static_cast<size_t>(txn.to)] -= txn.pages;
+    inflight_.Erase(txn.slab_key);  // Destroys txn.
+  }
+  return outcome;
 }
 
 }  // namespace chronotier

@@ -4,11 +4,14 @@
 // Every page movement — inline fault promotion, daemon-batched promotion, reclaim
 // demotion — is a *transaction* submitted through this engine:
 //
-//   Submit ──admission──> kCopying ──commit check──> kCommitted
-//      │                      │  ▲
-//      │ refused              │  │ dirty abort + backoff (bounded retries)
-//      ▼                      ▼  │
-//   kRefused               kAborted (retries exhausted)
+//   Submit ──admission──> copy pass ──ResolvePass──┬─ commit ──────> kCommitted
+//      │                     ▲                     ├─ park ────────> kParked (frames freed)
+//      │ refused             │                     ├─ quarantine ──> kParked (quarantined)
+//      ▼                     │                     ├─ abort ───────> kAborted
+//   kRefused                 └───── retry ─────────┘
+//
+// ResolvePass decides every finished pass, inline or async (retry, or a spent budget's
+// park/abort); Finish is the one terminal step behind every outcome but kRefused.
 //
 // Nomad-style non-exclusive copy: the unit stays mapped, resident and *writable* on its
 // source node for the whole copy phase (target frames are reserved up front, so both copies
@@ -82,6 +85,10 @@ class MigrationEngine {
   MigrationEngine(const MigrationEngine&) = delete;
   MigrationEngine& operator=(const MigrationEngine&) = delete;
 
+  // An async retry after pass k books no earlier than retry_backoff << min(k - 1, this)
+  // after pass k finished (MachineConfig::Validate keeps the deepest shift in range).
+  static constexpr int kMaxBackoffShift = 20;
+
   // Submits one unit for migration to `target`. `now` lets fault-path callers pass their
   // process clock (which runs ahead of the event queue); kNeverTime means the queue clock.
   // kSync/kReclaim transactions are complete when this returns; kAsync transactions commit
@@ -90,9 +97,10 @@ class MigrationEngine {
                          MigrationSource source, SimTime now = kNeverTime);
 
   // Installs a copy-fault oracle (the fault injector). nullptr (default) = no injection.
-  // Injected transient faults retry through the dirty-abort backoff machinery; persistent
-  // faults quarantine the reserved target frames; either way a transaction that cannot
-  // complete *parks* — the unit stays mapped at its source and no commit cost is charged.
+  // A transient fault retries like a dirty copy (async: after the retry backoff; inline:
+  // back-to-back) and parks once max_copy_attempts passes failed, freeing the target frames;
+  // a persistent fault parks at once and quarantines them. A parked unit stays mapped at
+  // its source and no commit cost is charged.
   void set_fault_oracle(CopyFaultOracle* oracle) { fault_oracle_ = oracle; }
 
   // Installs the per-tenant admission QoS hook (the tenant registry). nullptr (default) =
@@ -111,7 +119,6 @@ class MigrationEngine {
   // pages by exactly `inflight_reserved_pages` while copies are in flight.
   uint64_t inflight_transactions() const { return static_cast<uint64_t>(inflight_.size()); }
   uint64_t inflight_reserved_pages() const { return inflight_reserved_pages_; }
-  uint64_t peak_inflight_transactions() const { return peak_inflight_; }  // detlint:allow(dead-symbol) high-water stat for concurrency-cap tuning
   // Target frames reserved on `node` by in-flight transactions (invariant auditing).
   uint64_t inflight_reserved_pages_on(NodeId node) const;
 
@@ -174,19 +181,25 @@ class MigrationEngine {
   // Books an async pass and schedules its copy-start snapshot + copy-done events.
   // Returns false (nothing booked or scheduled) when no surviving path exists.
   bool ScheduleAsyncPass(Transaction& txn, SimTime now, SimTime earliest);
-  // Async copy-done event: fault-oracle verdict, dirty check, then commit or retry/abort.
-  // `key` is the slab handle captured by the event; stale keys (transaction already
-  // retired) resolve to nothing and the event is a no-op.
+  // Async copy-done event: resolves the pass, then re-books it after the retry backoff or
+  // finishes the transaction. `key` is the slab handle captured by the event; stale keys
+  // (transaction already finished) resolve to nothing and the event is a no-op.
   void OnCopyDone(uint64_t key, SimTime now);
-  void Commit(Transaction& txn, SimTime now);
-  void FinalAbort(Transaction& txn, SimTime now);
-  // Graceful-degradation terminals: the unit stays mapped at its source. ParkTransient
-  // releases the reserved target frames; ParkQuarantined quarantines them (persistent
-  // copy fault — the frames are suspect).
-  void ParkTransient(Transaction& txn, SimTime now);
-  void ParkQuarantined(Transaction& txn, SimTime now);
-  void CountPark(const Transaction& txn, SimTime now);
-  void Retire(const Transaction& txn);
+
+  // What a finished copy pass leads to.
+  enum class PassVerdict : uint8_t {
+    kCommit,      // Clean copy: remap onto the target.
+    kRetry,       // Re-book another pass (budget left).
+    kPark,        // Stay at the source, target frames freed.
+    kQuarantine,  // Stay at the source, target frames quarantined (persistent fault).
+    kAbort,       // Stay at the source: the last allowed pass was dirty.
+  };
+  // The one decision site for a finished pass. Checks, in order, a leg that crossed a link
+  // gone down, the injected fault, then the dirty check; counts and traces the pass.
+  PassVerdict ResolvePass(Transaction& txn, SimTime now);
+  // The one terminal step: commits or leaves the unit at its source, clears kPageMigrating,
+  // retires admission and frees an async transaction's slot (destroying `txn`).
+  MigrationOutcome Finish(Transaction& txn, PassVerdict verdict, SimTime now);
 
   MigrationEngineConfig config_;
   MigrationEnv* env_;
@@ -205,7 +218,6 @@ class MigrationEngine {
   uint64_t next_txn_id_ = 1;
   uint64_t inflight_reserved_pages_ = 0;
   std::vector<uint64_t> inflight_pages_by_node_;  // Reserved target pages per node (async).
-  uint64_t peak_inflight_ = 0;
 };
 
 }  // namespace chronotier

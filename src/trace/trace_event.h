@@ -99,7 +99,7 @@ enum class TraceEventType : uint16_t {
   kMigrationCopyFault,  // Injected copy fault: b = 1 transient, 2 persistent.
   kMigrationCommit,     // b = pages; ts = commit time.
   kMigrationAbort,      // Final abort after retries: b = attempts used.
-  kMigrationPark,       // b = 1 transient park (frames freed), 2 quarantined.
+  kMigrationPark,       // Stayed at source after a fault or failed link: b = attempts used.
   kMigrationReroute,    // Pass crossed a link that went down: b = re-route attempt.
   kTenantQosVerdict,    // Tenant QoS consult: a = tenant id, b = refusal reason enum
                         // (0 = admitted); from/to = tier pair, pid = submitting owner.

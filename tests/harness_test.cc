@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -480,6 +481,19 @@ TEST(MachineConfigValidateTest, RejectsBadMigrationKnobs) {
   EXPECT_TRUE(HasError(errors, "migration.max_copy_attempts must be >= 1"));
   EXPECT_TRUE(HasError(errors, "migration.source_inflight_page_limit must be > 0"));
   EXPECT_TRUE(HasError(errors, "migration.retry_backoff must be >= 0"));
+
+  // The deepest async retry shifts retry_backoff left by kMaxBackoffShift: the largest
+  // value that still fits SimDuration is accepted, one more is rejected.
+  MachineConfig knobs = MachineConfig::StandardTwoTier(4096);
+  const SimDuration max_backoff =
+      std::numeric_limits<SimDuration>::max() >> MigrationEngine::kMaxBackoffShift;
+  knobs.migration.retry_backoff = max_backoff;
+  EXPECT_TRUE(knobs.Validate().empty());
+  knobs.migration.retry_backoff = max_backoff + 1;
+  knobs.migration.max_reroute_attempts = -1;
+  const std::vector<std::string> knob_errors = knobs.Validate();
+  EXPECT_TRUE(HasError(knob_errors, "migration.retry_backoff must be <= 8796093022207 ns"));
+  EXPECT_TRUE(HasError(knob_errors, "migration.max_reroute_attempts must be >= 0"));
 }
 
 TEST(MachineConfigValidateTest, RejectsBadFaultPlan) {
