@@ -236,7 +236,9 @@ NamedPolicyFactory FindPolicy(const std::vector<NamedPolicyFactory>& set,
 //
 // Captured from the pre-refactor layout (96-byte PageInfo, pointer LRU, single-step
 // replay) by running this same binary on the seed tree; see DESIGN.md §5. Any layout or
-// replay change that shifts one bit of any result field changes these values.
+// replay change that shifts one bit of any result field changes these values. The two
+// chaos entries were re-recorded when a parked reclaim demotion stopped counting as a
+// demotion and began to rotate instead of being re-submitted at once.
 struct SeedGolden {
   const char* key;
   uint64_t fingerprint;
@@ -252,8 +254,8 @@ constexpr SeedGolden kSeedGoldens[] = {
     {"ntier/endpoint_aware_hotness", 0xed83abd49288db49ull},
     {"segmented/Chrono", 0x8705bab22cc8c76bull},
     {"segmented/TPP", 0x334830899288a16ull},
-    {"chaos/Chrono", 0x71ebccd08cc76b7dull},
-    {"chaos/Multi-Clock", 0xa113efe9235758feull},
+    {"chaos/Chrono", 0x005d6d7a35357cc9ull},
+    {"chaos/Multi-Clock", 0xe0b7c1c43994809dull},
     {"fabric/Chrono", 0x4aad45429fed8a3dull},
     {"tenants/Chrono", 0xb833052870e98787ull},
 };
