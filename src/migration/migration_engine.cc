@@ -360,10 +360,10 @@ MigrationEngine::PassVerdict MigrationEngine::ResolvePass(Transaction& txn, SimT
   // Only async passes can be flagged: OnLinkDown walks inflight_.
   if (txn.leg_failed) {
     txn.leg_failed = false;
-    EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationReroute, now,
-              txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
-              static_cast<uint64_t>(txn.reroute_attempts + 1));
     if (txn.reroute_attempts < config_.max_reroute_attempts) {
+      EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationReroute, now,
+                txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
+                static_cast<uint64_t>(txn.reroute_attempts + 1));
       ++txn.reroute_attempts;
       ++stats_->reroutes;
       return PassVerdict::kRetry;
