@@ -51,8 +51,9 @@ class TieringPolicy {
     (void)now;
   }
 
-  // The shared reclaim daemon demoted `unit` out of the fast tier. Policies use this to
-  // stamp thrash-detection state (Chrono) or update bookkeeping.
+  // A committed demotion: `unit` left the fast tier through Machine::DemoteUnit (the
+  // shared reclaim daemon, or a policy's own daemon). A parked demotion is not reported.
+  // Policies use this to stamp thrash-detection state (Chrono) or update bookkeeping.
   virtual void OnDemotion(Vma& vma, PageInfo& unit, SimTime now) {
     (void)vma;
     (void)unit;
