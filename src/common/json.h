@@ -88,11 +88,6 @@ class JsonWriter {
   }
   void Value(int v) { Value(static_cast<int64_t>(v)); }
   void Value(unsigned v) { Value(static_cast<uint64_t>(v)); }
-  // detlint:allow(dead-symbol) writer API completeness: null is a JSON value kind
-  void Null() {
-    BeforeValue();
-    out_ << "null";
-  }
 
   // Key + value in one call: writer.Field("speedup", 1.37).
   template <typename T>

@@ -98,7 +98,6 @@ class SlotArena {
   size_t size() const { return live_; }
   bool empty() const { return live_ == 0; }
   // Backing-vector length (live + free slots): steady-state == peak live count.
-  size_t capacity_slots() const { return entries_.size(); }  // detlint:allow(dead-symbol) allocation-freeness probe for future benches
 
  private:
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;

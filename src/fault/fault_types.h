@@ -52,12 +52,6 @@ struct FaultPlan {
   //     see fabric_faults.h). Driven by its own Rng stream derived from `seed`, so adding
   //     fabric chaos leaves the base plan's draw sequence untouched. ---
   FabricFaultPlan fabric;
-
-  // detlint:allow(dead-symbol) config-validation helper, part of the fault-plan API
-  bool AnyWindows() const {
-    return stall_period > 0 || pressure_period > 0 || alloc_fail_period > 0 ||
-           fabric.Any();
-  }
 };
 
 // Degradation and audit counters, reset with the rest of the metrics at warmup boundaries.

@@ -59,10 +59,7 @@ class Metrics {
     promoted_pages_ += pages;
     ++promotion_events_;
   }
-  void CountDemotion(uint64_t pages) {
-    demoted_pages_ += pages;
-    ++demotion_events_;
-  }
+  void CountDemotion(uint64_t pages) { demoted_pages_ += pages; }
   void CountPromotionFailure() { ++promotion_failures_; }
   void CountThrashEvent() { ++thrash_events_; }
 
@@ -110,7 +107,6 @@ class Metrics {
   uint64_t promoted_pages() const { return promoted_pages_; }
   uint64_t demoted_pages() const { return demoted_pages_; }
   uint64_t promotion_events() const { return promotion_events_; }
-  uint64_t demotion_events() const { return demotion_events_; }  // detlint:allow(dead-symbol) symmetric twin of promotion_events
   uint64_t promotion_failures() const { return promotion_failures_; }
   uint64_t thrash_events() const { return thrash_events_; }
   SimDuration app_time() const { return app_time_; }
@@ -167,7 +163,6 @@ class Metrics {
   uint64_t promoted_pages_ = 0;
   uint64_t demoted_pages_ = 0;
   uint64_t promotion_events_ = 0;
-  uint64_t demotion_events_ = 0;
   uint64_t promotion_failures_ = 0;
   uint64_t thrash_events_ = 0;
   SimDuration app_time_ = 0;

@@ -64,7 +64,6 @@ bool MemoryTier::TryAllocate(uint64_t pages, bool allow_below_min) {
     return false;
   }
   free_pages_ -= pages;
-  ++total_allocations_;
   return true;
 }
 
@@ -81,13 +80,6 @@ void MemoryTier::QuarantineAllocated(uint64_t pages) {
   CHECK_LE(pages, allocated_pages())
       << "tier=" << spec_.name << " quarantining more frames than are allocated";
   quarantined_pages_ += pages;
-}
-
-uint64_t MemoryTier::ReleaseQuarantined(uint64_t pages) {
-  const uint64_t released = std::min(pages, quarantined_pages_);
-  quarantined_pages_ -= released;
-  free_pages_ += released;
-  return released;
 }
 
 uint64_t MemoryTier::StealFreePages(uint64_t pages) {

@@ -69,15 +69,8 @@ class MemoryTier {
   uint64_t capacity_pages() const { return spec_.capacity_pages; }
   uint64_t free_pages() const { return free_pages_; }
   uint64_t used_pages() const { return spec_.capacity_pages - free_pages_; }
-  // detlint:allow(dead-symbol) reporting surface, derived from the counters above
-  double utilization() const {
-    return spec_.capacity_pages == 0
-               ? 0.0
-               : static_cast<double>(used_pages()) / static_cast<double>(spec_.capacity_pages);
-  }
 
   bool BelowHighWatermark() const { return free_pages_ < watermarks_.high; }
-  bool BelowProWatermark() const { return free_pages_ < watermarks_.pro; }  // detlint:allow(dead-symbol) kernel watermark-pair fidelity with BelowHighWatermark
 
   SimDuration AccessLatency(bool is_store) const {
     return is_store ? spec_.store_latency : spec_.load_latency;
@@ -87,17 +80,13 @@ class MemoryTier {
   SimDuration MigrationCopyTime(uint64_t bytes) const;
 
   // Cumulative counters (monotonic).
-  uint64_t total_allocations() const { return total_allocations_; }  // detlint:allow(dead-symbol) symmetric twin of failed_allocations
   uint64_t failed_allocations() const { return failed_allocations_; }
 
   // --- fault & degradation surface (src/fault) ---
 
   // Moves already-allocated frames onto the quarantined list (persistent copy fault on a
-  // reserved migration target). Quarantined frames stay unusable until released.
+  // reserved migration target). Quarantined frames stay unusable for the rest of the run.
   void QuarantineAllocated(uint64_t pages);
-  // Returns up to `pages` quarantined frames to the free list (repair/recovery); returns
-  // the number actually released.
-  uint64_t ReleaseQuarantined(uint64_t pages);  // detlint:allow(dead-symbol) recovery-side API of the quarantine mechanism
   uint64_t quarantined_pages() const { return quarantined_pages_; }
 
   // Degraded mode: the migration engine pauses new promotions into a degraded tier while
@@ -127,7 +116,6 @@ class MemoryTier {
   uint64_t free_pages_;
   uint64_t quarantined_pages_ = 0;
   uint64_t pressure_stolen_pages_ = 0;
-  uint64_t total_allocations_ = 0;
   uint64_t failed_allocations_ = 0;
   bool degraded_ = false;
   bool strict_min_floor_ = false;

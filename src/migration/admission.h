@@ -80,7 +80,6 @@ class AdmissionController {
   // Per-tenant admission QoS (implemented by the tenant registry). Null = no tenant QoS;
   // non-null hooks are consulted by Check and charged by OnAdmit.
   void set_qos_hook(AdmissionQosHook* hook) { qos_ = hook; }
-  const AdmissionQosHook* qos_hook() const { return qos_; }  // detlint:allow(dead-symbol) symmetric getter of set_qos_hook
 
   uint64_t inflight_pages(MigrationSource source) const {
     return inflight_pages_[static_cast<size_t>(source)];

@@ -48,7 +48,6 @@ class CopyChannel {
     booking.finish = booking.start + effective;
     cursor_ = booking.finish;
     busy_ += effective;
-    ++copies_booked_;
     return booking;
   }
 
@@ -64,7 +63,6 @@ class CopyChannel {
     degraded_until_ = until;
     degrade_factor_ = factor;
   }
-  bool degraded_at(SimTime t) const { return t < degraded_until_; }  // detlint:allow(dead-symbol) fault-observability probe for degradation windows
   uint64_t stalls_injected() const { return stalls_injected_; }
 
   // --- fabric faults (src/fault/fabric_faults) ---
@@ -82,14 +80,12 @@ class CopyChannel {
 
   // Total copy time ever booked (includes copies later invalidated by a dirty abort).
   SimDuration busy_time() const { return busy_; }
-  uint64_t copies_booked() const { return copies_booked_; }  // detlint:allow(dead-symbol) denominator for busy_time per-copy averages
 
  private:
   NodeId lo_ = kInvalidNode;
   NodeId hi_ = kInvalidNode;
   SimTime cursor_ = 0;  // When the last booked copy drains.
   SimDuration busy_ = 0;
-  uint64_t copies_booked_ = 0;
   SimTime degraded_until_ = 0;  // Injected bandwidth-collapse window end.
   double degrade_factor_ = 1.0;
   uint64_t stalls_injected_ = 0;

@@ -47,8 +47,6 @@ class MemtisPolicy : public TieringPolicy {
   void OnDemandAllocation(Process& process, Vma& vma, PageInfo& unit, SimTime now) override;
 
   // Exposed for tests and the Fig. 2b bench.
-  const Log2Histogram& histogram() const { return histogram_; }  // detlint:allow(dead-symbol) Fig. 2b analysis surface
-  uint64_t hot_threshold() const { return hot_threshold_; }  // detlint:allow(dead-symbol) Fig. 2b analysis surface
 
  private:
   void OnSample(const PebsSample& sample);

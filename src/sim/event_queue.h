@@ -75,7 +75,6 @@ class EventQueue {
 
   // Slot-map footprint (live + recycled slots). Steady state == peak concurrent events;
   // bench/micro_overhead uses it to pin the event core allocation-free after warmup.
-  size_t slot_capacity() const { return slots_.size(); }  // detlint:allow(dead-symbol) allocation-freeness probe for future benches
 
  private:
   struct Item {

@@ -150,8 +150,4 @@ uint64_t AddressSpace::lowest_vpn() const {
   return vmas_.empty() ? 0 : vmas_.front()->start_vpn();
 }
 
-uint64_t AddressSpace::highest_vpn() const {
-  return vmas_.empty() ? 0 : vmas_.back()->end_vpn();
-}
-
 }  // namespace chronotier

@@ -123,9 +123,8 @@ class AddressSpace {
   const std::vector<std::unique_ptr<Vma>>& vmas() const { return vmas_; }
   std::vector<std::unique_ptr<Vma>>& vmas() { return vmas_; }
 
-  // Lowest and one-past-highest mapped vpn (0,0 when empty); used by scanners.
+  // Lowest mapped vpn (0 when empty); used by scanners.
   uint64_t lowest_vpn() const;
-  uint64_t highest_vpn() const;  // detlint:allow(dead-symbol) scanner-range pair of lowest_vpn
 
  private:
   int32_t pid_;

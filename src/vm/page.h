@@ -125,7 +125,6 @@ struct PageInfo {
   bool prot_none() const { return Has(kPageProtNone); }
   bool accessed() const { return Has(kPageAccessed); }
   bool huge_head() const { return Has(kPageHugeHead); }
-  bool huge_tail() const { return Has(kPageHugeTail); }  // detlint:allow(dead-symbol) flag-accessor twin of huge_head
 };
 
 // The hot record must stay within the 32-byte budget (two per cache line) and keep natural

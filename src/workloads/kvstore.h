@@ -39,7 +39,6 @@ class KvStoreStream : public AccessStream {
   uint64_t num_items() const { return config_.num_items; }
 
   // Address-space geometry (for tests).
-  uint64_t bucket_region_vpn() const { return bucket_base_ / kBasePageSize; }  // detlint:allow(dead-symbol) geometry pair of heap_region_vpn
   uint64_t heap_region_vpn() const { return heap_base_ / kBasePageSize; }
 
   // The item id a Gaussian-popularity draw maps to.
