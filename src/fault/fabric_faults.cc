@@ -9,6 +9,11 @@
 
 namespace chronotier {
 
+namespace {
+// Drain-pump cadence while an endpoint is failing.
+constexpr SimDuration kEvacDrainPeriod = 5 * kMillisecond;
+}  // namespace
+
 FabricFaultDriver::FabricFaultDriver(const FabricFaultPlan& plan, uint64_t seed,
                                      SimDuration start_after, FaultStats* stats)
     : plan_(plan),
@@ -169,7 +174,7 @@ void FabricFaultDriver::DrainTick(NodeId node, SimTime deadline, SimTime now) {
               memory_->node(node).allocated_pages());
     return;
   }
-  queue_->ScheduleAfter(plan_.evac_drain_period, [this, node, deadline](SimTime when) {
+  queue_->ScheduleAfter(kEvacDrainPeriod, [this, node, deadline](SimTime when) {
     DrainTick(node, deadline, when);
   });
 }

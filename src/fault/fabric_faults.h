@@ -57,8 +57,7 @@ struct FabricFaultPlan {
   // 0 = permanent hot-remove; otherwise the endpoint recovers this long after failing.
   SimDuration endpoint_recovery_after = 0;
 
-  // --- evacuation pacing (shared by randomized and scripted endpoint failures) ---
-  SimDuration evac_drain_period = 5 * kMillisecond;  // Drain-pump cadence while failing.
+  // --- evacuation deadline (shared by randomized and scripted endpoint failures) ---
   // Give-up horizon: if the endpoint is not drained this long after failing (survivors
   // full, or the fabric cannot carry the bytes), the pump stops and the endpoint stays
   // kFailing with its pages resident. The auditor requires kOffline endpoints be empty.

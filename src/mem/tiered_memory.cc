@@ -7,7 +7,8 @@
 
 namespace chronotier {
 
-TieredMemory::TieredMemory(const TopologySpec& spec, double bandwidth_scale) {
+TieredMemory::TieredMemory(const TopologySpec& spec, double bandwidth_scale)
+    : bandwidth_scale_(bandwidth_scale) {
   std::string error;
   CHECK(Topology::Build(spec, &topology_, &error)) << "invalid topology: " << error;
   topology_.ScaleBandwidth(bandwidth_scale);
@@ -79,7 +80,7 @@ MigrationCost TieredMemory::CostOfMigration(NodeId from, NodeId to, uint64_t byt
   const SimDuration read_side = node(from).MigrationCopyTime(bytes);
   const SimDuration write_side = node(to).MigrationCopyTime(bytes);
   cost.copy_time = std::max(read_side, write_side);
-  cost.software_overhead = migration_software_overhead_;
+  cost.software_overhead = kMigrationSoftwareOverhead;
   return cost;
 }
 

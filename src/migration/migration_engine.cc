@@ -233,7 +233,7 @@ MigrationTicket MigrationEngine::Submit(Vma& vma, PageInfo& unit, NodeId target,
     // only when the transaction actually committed.
     ticket.sync_latency = (booking.finish - now) +
                           (ticket.outcome == MigrationOutcome::kCommitted
-                               ? memory.migration_software_overhead()
+                               ? TieredMemory::kMigrationSoftwareOverhead
                                : 0);
   }
   return ticket;
@@ -302,7 +302,7 @@ bool MigrationEngine::BookCopy(Transaction& txn, SimTime now, SimTime earliest,
   }
   txn.route = std::move(route);
   env_->ChargeMigrationKernelTime(static_cast<SimDuration>(
-      static_cast<double>(copy_cpu) / std::max(config_.bandwidth_scale, 1.0)));
+      static_cast<double>(copy_cpu) / std::max(memory.bandwidth_scale(), 1.0)));
   *out = booking;
   return true;
 }
@@ -333,9 +333,9 @@ void MigrationEngine::OnCopyDone(uint64_t key, SimTime now) {
   }
   PassVerdict pass = ResolvePass(*live, now);
   if (pass == PassVerdict::kRetry) {
-    // Exponential backoff: pass k starts no earlier than now + retry_backoff * 2^(k-2).
+    // Exponential backoff: pass k starts no earlier than now + kRetryBackoff * 2^(k-2).
     const int shift = std::min(live->attempt - 1, kMaxBackoffShift);
-    if (ScheduleAsyncPass(*live, now, now + (config_.retry_backoff << shift))) {
+    if (ScheduleAsyncPass(*live, now, now + (kRetryBackoff << shift))) {
       return;
     }
     ++stats_->reroute_parks;  // Down links partitioned the pair since the last pass.
@@ -387,7 +387,7 @@ MigrationEngine::PassVerdict MigrationEngine::ResolvePass(Transaction& txn, SimT
     if (persistent) {
       return PassVerdict::kQuarantine;
     }
-    return txn.attempt >= config_.max_copy_attempts ? PassVerdict::kPark : PassVerdict::kRetry;
+    return txn.attempt >= kMaxCopyAttempts ? PassVerdict::kPark : PassVerdict::kRetry;
   }
 
   // A store landed during the copy: the target copy is stale. Inline passes are always
@@ -397,7 +397,7 @@ MigrationEngine::PassVerdict MigrationEngine::ResolvePass(Transaction& txn, SimT
     EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationDirtyAbort, now,
               txn.unit->owner, txn.unit->vpn, txn.from, txn.to, txn.id,
               static_cast<uint64_t>(txn.attempt));
-    return txn.attempt >= config_.max_copy_attempts ? PassVerdict::kAbort
+    return txn.attempt >= kMaxCopyAttempts ? PassVerdict::kAbort
                                                     : PassVerdict::kRetry;
   }
   return PassVerdict::kCommit;
@@ -415,7 +415,7 @@ MigrationOutcome MigrationEngine::Finish(Transaction& txn, PassVerdict verdict, 
     env_->ApplyMigration(*txn.vma, *txn.unit, txn.from, txn.to);
     // Unmap, TLB shootdown, remap, LRU bookkeeping — charged at commit only; aborted copies
     // waste bandwidth but never a shootdown.
-    env_->ChargeMigrationKernelTime(memory.migration_software_overhead());
+    env_->ChargeMigrationKernelTime(TieredMemory::kMigrationSoftwareOverhead);
     ++stats_->committed[klass];
     stats_->committed_pages += txn.pages;
     const int bucket = std::min(txn.attempt, kMigrationRetryBuckets - 1);

@@ -111,10 +111,6 @@ struct MigrationEngineConfig {
   // fabric the policies keep saturated at exactly their own refusal point. Capacity and
   // per-source throttles still apply; this is not an unbounded queue.
   SimDuration evac_backlog_limit = 1 * kSecond;
-  // Copy passes per transaction (1 initial + retries) before a dirty abort becomes final.
-  int max_copy_attempts = 3;
-  // Backoff before retry attempt k is 2^(k-2) times this (attempt 2 waits one unit).
-  SimDuration retry_backoff = 100 * kMicrosecond;
   // Per-source cap on async in-flight pages (TierBPF-style admission). The default is
   // generous; the backlog limits bind first unless a test tightens it.
   uint64_t source_inflight_page_limit = 1u << 16;
@@ -126,9 +122,6 @@ struct MigrationEngineConfig {
   // (fabric faults). Each re-route recomputes the surviving path; when the budget is
   // exhausted (or no surviving path exists) the transaction parks at its source.
   int max_reroute_attempts = 3;
-  // Mirrors MachineConfig::bandwidth_scale: scaled copy time models engine queueing on a
-  // miniature machine, so kernel CPU burn is charged at the unscaled rate.
-  double bandwidth_scale = 1.0;
 };
 
 // Histogram of copy attempts needed to commit: bucket k counts transactions that committed

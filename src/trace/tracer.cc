@@ -9,6 +9,9 @@ namespace chronotier {
 
 namespace {
 
+// Pages that keep a provenance history; pages sampled past this many are not tracked.
+constexpr uint64_t kProvenanceMaxPages = 4096;
+
 uint64_t ProvenanceKey(int32_t pid, uint64_t vpn) {
   return (static_cast<uint64_t>(static_cast<uint32_t>(pid)) << 48) ^ vpn;
 }
@@ -68,7 +71,7 @@ void Tracer::RecordProvenance(const TraceEvent& event) {
   const uint64_t key = ProvenanceKey(event.pid, event.vpn);
   auto it = provenance_.find(key);
   if (it == provenance_.end()) {
-    if (provenance_.size() >= config_.provenance_max_pages) return;
+    if (provenance_.size() >= kProvenanceMaxPages) return;
     it = provenance_.emplace(key, PageProvenance{}).first;
     it->second.pid = event.pid;
     it->second.vpn = event.vpn;

@@ -36,10 +36,9 @@ struct TraceConfig {
 
   // Per-page provenance: pages whose (pid, vpn) hash lands in a 1-in-N bucket keep a
   // bounded last-K history of their page-scoped events. 0 disables; 1 samples all pages
-  // (subject to provenance_max_pages).
+  // (at most 4,096 of them: kProvenanceMaxPages, tracer.cc).
   uint64_t provenance_sample_period = 64;
   uint32_t provenance_depth = 16;
-  uint64_t provenance_max_pages = 4096;
 
   // Time-series sampler period; 0 disables sampling.
   SimDuration telemetry_period = 100 * kMillisecond;

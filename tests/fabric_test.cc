@@ -424,7 +424,6 @@ FabricChaosOutcome RunFabricChaos(uint64_t seed, uint64_t fault_seed) {
   MachineConfig config;
   config.topology.tree = "(1,(2,3))";  // 0-1-2 chain: leaf promotions are multi-hop.
   config.topology.capacity_pages = {1024, 1024, 4096};
-  config.seed = seed;
   config.audit_period = 250 * kMillisecond;
   config.fault.enabled = true;
   config.fault.seed = fault_seed;

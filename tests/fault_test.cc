@@ -160,13 +160,13 @@ TEST_F(FaultedEngineTest, TransientCopyFaultRetriesWithBackoffThenCommits) {
   EXPECT_EQ(stats_.TotalCommitted(), 1u);
   EXPECT_EQ(stats_.TotalParked(), 0u);
   EXPECT_EQ(page(0).node, kFastNode);
-  // Pass 1: [0, 1ms]. Retry backs off retry_backoff before pass 2 books.
+  // Pass 1: [0, 1ms]. Retry backs off kRetryBackoff before pass 2 books.
   EXPECT_EQ(env_->queue_.now(),
-            2 * kCopyTime + MigrationEngineConfig().retry_backoff);
+            2 * kCopyTime + MigrationEngine::kRetryBackoff);
 }
 
 TEST_F(FaultedEngineTest, TransientFaultsExhaustedParkAtSourceAndFreeFrames) {
-  // Every pass fails transiently; max_copy_attempts = 3 parks the transaction.
+  // Every pass fails transiently; kMaxCopyAttempts = 3 parks the transaction.
   Build({CopyFault::kTransient, CopyFault::kTransient, CopyFault::kTransient});
   const uint64_t fast_used = env_->memory_.node(kFastNode).used_pages();
   ASSERT_TRUE(engine_
@@ -315,7 +315,7 @@ TEST_F(FaultedEngineTest, SyncTransientFaultRetriesBackToBackThenCommits) {
   // Inline retries run back-to-back (no backoff: the faulting thread is stalled anyway);
   // the remap overhead is charged once, for the commit.
   EXPECT_EQ(ticket.sync_latency,
-            2 * kCopyTime + env_->memory_.migration_software_overhead());
+            2 * kCopyTime + TieredMemory::kMigrationSoftwareOverhead);
   EXPECT_EQ(page(0).node, kFastNode);
   EXPECT_FALSE(page(0).Has(kPageMigrating));
   EXPECT_EQ(stats_.committed[static_cast<size_t>(MigrationClass::kSync)], 1u);
@@ -408,7 +408,6 @@ struct ChaosOutcome {
 ChaosOutcome RunChaos(const PolicyFactory& make_policy, uint64_t seed,
                       uint64_t fault_seed) {
   MachineConfig config = MachineConfig::StandardTwoTier(4096, 0.25);
-  config.seed = seed;
   config.bandwidth_scale = 64;
   config.fault = StandardChaosPlan(fault_seed);
   config.audit_period = 250 * kMillisecond;  // Audit aggressively mid-chaos.

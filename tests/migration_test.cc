@@ -162,7 +162,7 @@ TEST_F(MigrationEngineTest, RetriesExhaustedFinalAbortReleasesReservedFrames) {
   EXPECT_EQ(stats_.aborted[static_cast<size_t>(MigrationClass::kAsync)], 1u);
   EXPECT_EQ(stats_.TotalCommitted(), 0u);
   EXPECT_EQ(stats_.copy_attempts,
-            static_cast<uint64_t>(MigrationEngineConfig().max_copy_attempts));
+            static_cast<uint64_t>(MigrationEngine::kMaxCopyAttempts));
   EXPECT_EQ(stats_.dirty_aborted_copies, stats_.copy_attempts);
   EXPECT_EQ(page(0).node, kSlowNode);           // Never moved.
   EXPECT_FALSE(page(0).Has(kPageMigrating));    // Transaction retired.
@@ -188,14 +188,14 @@ TEST_F(MigrationEngineTest, DirtyAbortsBackOffExponentiallyAndTraceTheirAttempt)
   EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationPark).empty());
   EXPECT_TRUE(TracePayloadsB(tracer, TraceEventType::kMigrationCopyFault).empty());
 
-  // Pass k (k >= 2) books no earlier than retry_backoff * 2^(k-2) after pass k-1 ends.
+  // Pass k (k >= 2) books no earlier than kRetryBackoff * 2^(k-2) after pass k-1 ends.
   std::vector<SimTime> dirty_at;
   std::vector<SimTime> copy_at;
   tracer.ForEachEvent([&](const TraceEvent& event) {
     if (event.type == TraceEventType::kMigrationDirtyAbort) dirty_at.push_back(event.ts);
     if (event.type == TraceEventType::kMigrationCopy) copy_at.push_back(event.ts);
   });
-  const SimDuration backoff = MigrationEngineConfig().retry_backoff;
+  const SimDuration backoff = MigrationEngine::kRetryBackoff;
   ASSERT_EQ(dirty_at.size(), 3u);
   ASSERT_EQ(copy_at.size(), 3u);
   EXPECT_EQ(copy_at[0], 0);
@@ -305,7 +305,7 @@ TEST_F(MigrationEngineTest, SyncSubmitCommitsInlineAndChargesFullLatency) {
   ASSERT_TRUE(ticket.admitted);
   // The faulting access stalls for queueing (none here) + copy + remap overhead.
   EXPECT_EQ(ticket.sync_latency,
-            kCopyTime + env_->memory_.migration_software_overhead());
+            kCopyTime + TieredMemory::kMigrationSoftwareOverhead);
   EXPECT_EQ(page(0).node, kFastNode);
   EXPECT_FALSE(page(0).Has(kPageMigrating));
   EXPECT_EQ(stats_.committed[static_cast<size_t>(MigrationClass::kSync)], 1u);
@@ -512,7 +512,6 @@ struct ReplayOutcome {
 
 ReplayOutcome RunReplay(uint64_t seed) {
   MachineConfig config = MachineConfig::StandardTwoTier(4096, 0.25);
-  config.seed = seed;
   config.bandwidth_scale = 64;
   Machine machine(config, std::make_unique<AsyncPromoteAllPolicy>());
   Process& process = machine.CreateProcess("app");

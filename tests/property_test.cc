@@ -126,7 +126,7 @@ TEST_P(MachineInvariantTest, MetricsAreInternallyConsistent) {
   EXPECT_GE(metrics.promoted_pages(), 0u);
   // Process clocks never run behind the global clock at quiescence.
   for (auto& process : machine->processes()) {
-    EXPECT_GE(process->clock(), machine->now() - machine->config().process_quantum);
+    EXPECT_GE(process->clock(), machine->now() - Machine::kProcessQuantum);
   }
 }
 

@@ -80,9 +80,9 @@ TEST(ScanDaemonTest, ScanCostIsCharged) {
   ScanRig rig = MakeRig(geometry, 1024);
   rig.machine->Run(3 * kSecond);
   const SimDuration scan_time = rig.machine->metrics().kernel_time(KernelWork::kScan);
-  // visits * pte_visit_cost.
+  // visits * kPteVisitCost.
   EXPECT_EQ(scan_time, static_cast<SimDuration>(rig.policy->visits) *
-                           rig.machine->config().pte_visit_cost);
+                           Machine::kPteVisitCost);
   EXPECT_GT(scan_time, 0);
 }
 
