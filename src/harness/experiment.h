@@ -48,9 +48,6 @@ struct ExperimentConfig {
   // Access-path fast lane (MachineConfig::enable_translation_cache). On by default; the
   // equivalence tests run both settings and compare.
   bool enable_translation_cache = true;
-  // Batched access replay (MachineConfig::replay_batch_ops). Any value replays
-  // bit-identically; 1 is the single-step reference the equivalence tests compare against.
-  uint32_t replay_batch_ops = 64;
   // Observability (src/trace), forwarded to MachineConfig. When enabled, any configured
   // export paths (Chrome trace JSON, telemetry time series, provenance dump) are written
   // after the measured window, before `finish` runs.

@@ -35,7 +35,7 @@ constexpr uint64_t MaxValuePages(uint64_t value_bytes) {
 // touch only itself and the Rng it is handed — not the Process, the Machine, or anything
 // else the simulation reads while it runs. Its state (a recorded trace, counters, timing
 // spans) may be read only between Run calls, when no fill is in flight. Up to one ring of
-// ops (Machine::StreamRingOps) may have been generated past the last replayed op, so such
+// ops (Machine::kStreamRingOps) may have been generated past the last replayed op, so such
 // state can run that far ahead of the process's completed accesses.
 class AccessStream {
  public:

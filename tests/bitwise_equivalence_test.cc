@@ -11,14 +11,15 @@
 //     src/harness/experiment.h) minus policy_name, inflight_at_measure_start and the
 //     tenant rows, so a one-ULP drift in any latency average fails loudly.
 //
-//  2. *Replay equivalence*: batched access replay (Machine::RunProcessUntil pulling N ops
-//     per refill through AccessStream::FillBatch) is bit-identical to single-step replay.
-//     Streams are machine-state independent — an op sequence depends only on the stream's
-//     own state and its Rng — so prefetching ops ahead of execution is invisible. Checked
-//     over the whole field list, tenant rows included (FirstResultDifference), across the
-//     same schedule matrix. For the same reason it does not matter which thread generates
-//     the ops: a helper filling the op rings ahead of replay, or the replay thread itself
-//     (StreamFeederEquivalenceTest).
+//  2. *Replay equivalence*: batched access replay (Machine::RunProcessUntil pulling a
+//     64-op slot per refill through AccessStream::FillBatch) is bit-identical to
+//     single-step replay. Streams are machine-state independent — an op sequence depends
+//     only on the stream's own state and its Rng — so prefetching ops ahead of execution
+//     is invisible. The seed fingerprints were recorded from single-step replay, so they
+//     pin this too. For the same reason it does not matter which thread generates the
+//     ops: a helper filling the op rings ahead of replay, or the replay thread itself
+//     (StreamFeederEquivalenceTest, checked over the whole field list, tenant rows
+//     included, by FirstResultDifference).
 //
 // A third test pins the field list itself: perturbing any one field must be named by
 // FirstResultDifference and, outside the three exclusions, move the fingerprint.
@@ -326,73 +327,6 @@ TEST(SoaSeedEquivalenceTest, TenantKvSchedule) {
                         TenantKvProcs(4));
 }
 
-// --- batched vs single-step replay ---
-//
-// replay_batch_ops = 1 is single-step replay (the seed behaviour); any larger batch must
-// be bit-identical because streams are machine-state independent: prefetching ops cannot
-// observe anything the ops themselves would have changed. Compared over the field list,
-// not by fingerprint, so a divergence names the exact field.
-
-void ExpectBatchEquivalence(const std::string& key, ExperimentConfig config,
-                            const NamedPolicyFactory& named,
-                            const std::vector<ProcessSpec>& procs,
-                            uint32_t batch = 64) {
-  config.replay_batch_ops = 1;
-  const ExperimentResult single = Experiment::Run(config, named.make, procs);
-  config.replay_batch_ops = batch;
-  const ExperimentResult batched = Experiment::Run(config, named.make, procs);
-  ExpectResultsIdentical(single, batched,
-                         key + ": batch=" + std::to_string(batch) + " vs single-step");
-}
-
-TEST(BatchReplayEquivalenceTest, StandardLineup) {
-  for (const auto& named : StandardPolicySet(FastGeometry())) {
-    ExpectBatchEquivalence("standard/" + named.name, SmallExperiment(), named,
-                           GaussianProcs(2));
-  }
-}
-
-TEST(BatchReplayEquivalenceTest, OddBatchNeverAlignsWithQuanta) {
-  // A batch size that never divides the refill cadence exercises the partial-batch
-  // cursor logic on every quantum boundary.
-  ExpectBatchEquivalence("standard/Chrono", SmallExperiment(),
-                         FindPolicy(StandardPolicySet(FastGeometry()), "Chrono"),
-                         GaussianProcs(2), /*batch=*/7);
-}
-
-TEST(BatchReplayEquivalenceTest, NTierEndpointAware) {
-  ExpectBatchEquivalence("ntier/endpoint_aware_hotness", NTierExperiment(),
-                         FindPolicy(TopologyPolicySet(FastGeometry()),
-                                    "endpoint_aware_hotness"),
-                         GaussianProcs(2));
-}
-
-TEST(BatchReplayEquivalenceTest, SegmentedStream) {
-  // SegmentedStream is a finite-phase workload: exercises the stream-exhaustion edge
-  // (short FillBatch) that single-step replay observes as a terminating Next().
-  ExpectBatchEquivalence("segmented/Chrono", SmallExperiment(),
-                         FindPolicy(StandardPolicySet(FastGeometry()), "Chrono"),
-                         SegmentedProcs(2));
-}
-
-TEST(BatchReplayEquivalenceTest, FaultInjectedSchedule) {
-  ExpectBatchEquivalence("chaos/Chrono", ChaosExperiment(),
-                         FindPolicy(StandardPolicySet(FastGeometry()), "Chrono"),
-                         GaussianProcs(2, /*read_ratio=*/0.5));
-}
-
-TEST(BatchReplayEquivalenceTest, FabricFaultSchedule) {
-  ExpectBatchEquivalence("fabric/Chrono", FabricExperiment(),
-                         FindPolicy(TopologyPolicySet(FastGeometry()), "Chrono"),
-                         GaussianProcs(2, /*read_ratio=*/0.6));
-}
-
-TEST(BatchReplayEquivalenceTest, Tenants) {
-  ExpectBatchEquivalence("tenants/Chrono", TenantExperiment(),
-                         FindPolicy(TopologyPolicySet(FastGeometry()), "Chrono"),
-                         TenantKvProcs(4));
-}
-
 // --- helper-thread vs inline stream generation ---
 //
 // Run (a) is a normal run: with a host CPU idle, a helper thread fills the op rings ahead
@@ -400,30 +334,26 @@ TEST(BatchReplayEquivalenceTest, Tenants) {
 // CPU budget, so no helper is granted and the replay thread fills every slot itself.
 // Which thread generates the ops must not show in any result field.
 
-void ExpectFeederEquivalence(const std::string& key, ExperimentConfig config,
+void ExpectFeederEquivalence(const std::string& key, const ExperimentConfig& config,
                              const NamedPolicyFactory& named,
                              const std::vector<ProcessSpec>& procs) {
-  for (const uint32_t batch : {1u, 7u, 64u}) {
-    config.replay_batch_ops = batch;
-    uint64_t fills = 0;
-    const Experiment::FinishFn count_fills = [&fills](Machine& machine, ExperimentResult&) {
-      fills = machine.batches_filled_off_thread();
-    };
-    const ExperimentResult helped = Experiment::Run(config, named.make, procs, nullptr,
-                                                    count_fills);
-    EXPECT_GT(fills, 0u) << key << ": batch=" << batch << " never granted a helper";
+  uint64_t fills = 0;
+  const Experiment::FinishFn count_fills = [&fills](Machine& machine, ExperimentResult&) {
+    fills = machine.batches_filled_off_thread();
+  };
+  const ExperimentResult helped = Experiment::Run(config, named.make, procs, nullptr,
+                                                  count_fills);
+  EXPECT_GT(fills, 0u) << key << ": never granted a helper";
 
-    std::vector<std::unique_ptr<Machine>> idle;
-    for (int i = 0; i < DefaultJobs(); ++i) {
-      idle.push_back(std::make_unique<Machine>(MachineConfig::StandardTwoTier(1024),
-                                               named.make()));
-    }
-    const ExperimentResult inlined = Experiment::Run(config, named.make, procs, nullptr,
-                                                     count_fills);
-    EXPECT_EQ(fills, 0u) << key << ": batch=" << batch << " got a helper past the budget";
-    ExpectResultsIdentical(helped, inlined,
-                           key + ": batch=" + std::to_string(batch) + " helper vs inline");
+  std::vector<std::unique_ptr<Machine>> idle;
+  for (int i = 0; i < DefaultJobs(); ++i) {
+    idle.push_back(std::make_unique<Machine>(MachineConfig::StandardTwoTier(1024),
+                                             named.make()));
   }
+  const ExperimentResult inlined = Experiment::Run(config, named.make, procs, nullptr,
+                                                   count_fills);
+  EXPECT_EQ(fills, 0u) << key << ": got a helper past the budget";
+  ExpectResultsIdentical(helped, inlined, key + ": helper vs inline");
 }
 
 TEST(StreamFeederEquivalenceTest, Gaussian) {
