@@ -44,6 +44,10 @@ class ScanPolicyBase : public TieringPolicy {
 
   Machine* machine() { return machine_; }
 
+  // Scan-tick interval for an address space of `total_pages`: one step per tick, so a lap
+  // over the whole space takes scan_period; never below 1 ms.
+  SimDuration TickInterval(uint64_t total_pages) const;
+
   // Per-visit extra kernel cost beyond the PTE walk (e.g. AutoTiering LAP-list upkeep).
   void set_extra_visit_cost(SimDuration d) { extra_visit_cost_ = d; }
 
