@@ -37,21 +37,23 @@ namespace ct = chronotier;
 
 // Global allocation counter: every `new` in the binary routes through here, so a
 // benchmark can assert a region of code is allocation-free (the event core's contract).
-// Counting is the only side effect — allocation still comes from malloc.
+// Counting is the only side effect — allocation still comes from malloc. All six are kept
+// out of line: inlined into a caller, one half of a new/delete pair shows gcc malloc or
+// free paired with the other half's operator, and it warns (-Wmismatched-new-delete).
 std::atomic<uint64_t> g_heap_allocs{0};
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_heap_allocs;
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
   throw std::bad_alloc();
 }
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
