@@ -121,7 +121,8 @@ std::vector<std::string> MachineConfig::Validate() const {
     require(tenant.access_delay >= 0, which + ".access_delay must be >= 0");
     require(tenant.residency_budget_pages.size() <= num_nodes,
             which + ".residency_budget_pages has more entries than memory nodes");
-    require(tenant.qos_program.empty() || IsRegisteredQosProgram(tenant.qos_program),
+    QosProgram program = QosProgram::kNone;
+    require(ParseQosProgram(tenant.qos_program, &program),
             which + ".qos_program \"" + tenant.qos_program + "\" is not registered");
   }
   return errors;
@@ -336,7 +337,7 @@ std::string Machine::FatalDump() const {
     for (size_t node = 0; node < acct.resident_pages.size(); ++node) {
       os << (node == 0 ? "" : " ") << acct.resident_pages[node];
     }
-    os << "] program=" << (acct.program != nullptr ? acct.program->name() : "-")
+    os << "] program=" << (acct.spec.qos_program.empty() ? "-" : acct.spec.qos_program)
        << " bandwidth_cursor=" << acct.bandwidth_cursor;
   }
   return os.str();

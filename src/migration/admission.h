@@ -57,16 +57,16 @@ class AdmissionController {
       return MigrationRefusal::kSourceThrottled;
     }
     if (qos_ != nullptr) {
-      return qos_->QosCheck(owner, klass, source, from, to, pages, now);
+      return qos_->QosCheck(owner, source, from, to, pages, now);
     }
     return MigrationRefusal::kNone;
   }
 
   void OnAdmit(MigrationSource source, uint64_t pages, int32_t owner = kQosNoOwner,
-               NodeId from = kInvalidNode, NodeId to = kInvalidNode, SimTime now = 0) {
+               NodeId to = kInvalidNode, SimTime now = 0) {
     inflight_pages_[static_cast<size_t>(source)] += pages;
     if (qos_ != nullptr) {
-      qos_->QosAdmit(owner, from, to, pages, now);
+      qos_->QosAdmit(owner, source, to, pages, now);
     }
   }
   void OnRetire(MigrationSource source, uint64_t pages) {

@@ -91,10 +91,9 @@ inline constexpr int32_t kQosNoOwner = -1;
 class AdmissionQosHook {
  public:
   virtual ~AdmissionQosHook() = default;
-  virtual MigrationRefusal QosCheck(int32_t owner, MigrationClass klass,
-                                    MigrationSource source, NodeId from, NodeId to,
-                                    uint64_t pages, SimTime now) = 0;
-  virtual void QosAdmit(int32_t owner, NodeId from, NodeId to, uint64_t pages,
+  virtual MigrationRefusal QosCheck(int32_t owner, MigrationSource source, NodeId from,
+                                    NodeId to, uint64_t pages, SimTime now) = 0;
+  virtual void QosAdmit(int32_t owner, MigrationSource source, NodeId to, uint64_t pages,
                         SimTime now) = 0;
 };
 

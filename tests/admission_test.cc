@@ -17,7 +17,6 @@ class RecordingQosHook : public AdmissionQosHook {
  public:
   struct Consult {
     int32_t owner;
-    MigrationClass klass;
     MigrationSource source;
     NodeId from;
     NodeId to;
@@ -26,20 +25,20 @@ class RecordingQosHook : public AdmissionQosHook {
   };
   struct Charge {
     int32_t owner;
-    NodeId from;
+    MigrationSource source;
     NodeId to;
     uint64_t pages;
     SimTime now;
   };
 
-  MigrationRefusal QosCheck(int32_t owner, MigrationClass klass, MigrationSource source,
-                            NodeId from, NodeId to, uint64_t pages, SimTime now) override {
-    consults.push_back({owner, klass, source, from, to, pages, now});
+  MigrationRefusal QosCheck(int32_t owner, MigrationSource source, NodeId from, NodeId to,
+                            uint64_t pages, SimTime now) override {
+    consults.push_back({owner, source, from, to, pages, now});
     return verdict;
   }
-  void QosAdmit(int32_t owner, NodeId from, NodeId to, uint64_t pages,
+  void QosAdmit(int32_t owner, MigrationSource source, NodeId to, uint64_t pages,
                 SimTime now) override {
-    charges.push_back({owner, from, to, pages, now});
+    charges.push_back({owner, source, to, pages, now});
   }
 
   MigrationRefusal verdict = MigrationRefusal::kNone;
@@ -121,13 +120,14 @@ TEST_F(AdmissionTest, QosHookRunsLastAndPropagates) {
   EXPECT_EQ(controller_.Check(MigrationClass::kAsync, MigrationSource::kPolicyDaemon,
                               config_.async_backlog_limit + 1, 1, /*owner=*/7),
             MigrationRefusal::kBacklog);
-  controller_.OnAdmit(MigrationSource::kPolicyDaemon, 8, /*owner=*/7, 1, 0, 50);
+  controller_.OnAdmit(MigrationSource::kPolicyDaemon, 8, /*owner=*/7, /*to=*/0, 50);
   EXPECT_EQ(controller_.Check(MigrationClass::kAsync, MigrationSource::kPolicyDaemon, 0, 8,
                               /*owner=*/7),
             MigrationRefusal::kSourceThrottled);
   ASSERT_EQ(hook.consults.size(), 0u);
   ASSERT_EQ(hook.charges.size(), 1u);  // OnAdmit always charges the hook.
   EXPECT_EQ(hook.charges[0].owner, 7);
+  EXPECT_EQ(hook.charges[0].source, MigrationSource::kPolicyDaemon);
   EXPECT_EQ(hook.charges[0].pages, 8u);
   EXPECT_EQ(hook.charges[0].now, 50);
   controller_.OnRetire(MigrationSource::kPolicyDaemon, 8);
@@ -139,7 +139,6 @@ TEST_F(AdmissionTest, QosHookRunsLastAndPropagates) {
             MigrationRefusal::kNone);
   ASSERT_EQ(hook.consults.size(), 1u);
   EXPECT_EQ(hook.consults[0].owner, 3);
-  EXPECT_EQ(hook.consults[0].klass, MigrationClass::kSync);
   EXPECT_EQ(hook.consults[0].source, MigrationSource::kFaultPath);
   EXPECT_EQ(hook.consults[0].from, 1);
   EXPECT_EQ(hook.consults[0].to, 0);
