@@ -413,7 +413,6 @@ class BareMigrationEnv : public ct::MigrationEnv {
     unit.node = to;
   }
   void ChargeMigrationKernelTime(ct::SimDuration) override {}
-  void OnPromotionRefused() override {}
 
   ct::EventQueue queue_;
   ct::TieredMemory memory_;

@@ -364,7 +364,6 @@ class Machine : private MigrationEnv {
   void ChargeMigrationKernelTime(SimDuration d) override {
     metrics_.ChargeKernel(KernelWork::kMigration, d);
   }
-  void OnPromotionRefused() override { metrics_.CountPromotionFailure(); }
 
   MachineConfig config_;
   EventQueue queue_;

@@ -41,7 +41,6 @@ void Metrics::Reset() {
   promoted_pages_ = 0;
   demoted_pages_ = 0;
   promotion_events_ = 0;
-  promotion_failures_ = 0;
   thrash_events_ = 0;
   app_time_ = 0;
   trace_events_dropped_ = 0;

@@ -60,7 +60,6 @@ class Metrics {
     ++promotion_events_;
   }
   void CountDemotion(uint64_t pages) { demoted_pages_ += pages; }
-  void CountPromotionFailure() { ++promotion_failures_; }
   void CountThrashEvent() { ++thrash_events_; }
 
   // --- derived quantities ---
@@ -107,7 +106,6 @@ class Metrics {
   uint64_t promoted_pages() const { return promoted_pages_; }
   uint64_t demoted_pages() const { return demoted_pages_; }
   uint64_t promotion_events() const { return promotion_events_; }
-  uint64_t promotion_failures() const { return promotion_failures_; }
   uint64_t thrash_events() const { return thrash_events_; }
   SimDuration app_time() const { return app_time_; }
   SimDuration kernel_time(KernelWork work) const {
@@ -163,7 +161,6 @@ class Metrics {
   uint64_t promoted_pages_ = 0;
   uint64_t demoted_pages_ = 0;
   uint64_t promotion_events_ = 0;
-  uint64_t promotion_failures_ = 0;
   uint64_t thrash_events_ = 0;
   SimDuration app_time_ = 0;
   uint64_t trace_events_dropped_ = 0;

@@ -68,13 +68,11 @@ class StubEnv : public MigrationEnv {
     ++applied_;
   }
   void ChargeMigrationKernelTime(SimDuration d) override { kernel_time_ += d; }
-  void OnPromotionRefused() override { ++promotion_refusals_; }
 
   EventQueue queue_;
   TieredMemory memory_;
   uint64_t reclaim_requests_ = 0;
   uint64_t applied_ = 0;
-  uint64_t promotion_refusals_ = 0;
   SimDuration kernel_time_ = 0;
 
  private:
@@ -185,7 +183,6 @@ TEST_F(FaultedEngineTest, TransientFaultsExhaustedParkAtSourceAndFreeFrames) {
   EXPECT_EQ(env_->memory_.node(kFastNode).used_pages(), fast_used);
   EXPECT_EQ(env_->memory_.node(kFastNode).quarantined_pages(), 0u);
   EXPECT_EQ(engine_->inflight_reserved_pages(), 0u);
-  EXPECT_EQ(env_->promotion_refusals_, 1u);
 }
 
 TEST_F(FaultedEngineTest, PersistentCopyFaultQuarantinesTargetFrames) {
@@ -235,7 +232,7 @@ TEST_F(FaultedEngineTest, DegradedTierRefusesPromotionsButDrainsDemotions) {
                       MigrationSource::kPolicyDaemon);
   EXPECT_FALSE(promo.admitted);
   EXPECT_EQ(promo.refusal, MigrationRefusal::kTierDegraded);
-  EXPECT_EQ(env_->promotion_refusals_, 1u);
+  EXPECT_EQ(stats_.refused[static_cast<size_t>(MigrationRefusal::kTierDegraded)], 1u);
 
   // A fast-tier resident demotes out of the degraded tier without obstruction.
   ASSERT_TRUE(env_->memory_.node(kFastNode).TryAllocate(1));
@@ -360,7 +357,6 @@ TEST_F(FaultedEngineTest, ReclaimDemotionPersistentFaultQuarantinesSlowFrames) {
   EXPECT_EQ(slow.quarantined_pages(), 1u);
   EXPECT_EQ(slow.free_pages(), slow_free - 1);
   EXPECT_EQ(slow.allocated_pages(), slow_allocated);
-  EXPECT_EQ(env_->promotion_refusals_, 0u);  // A demotion, not a failed promotion.
   EXPECT_EQ(env_->queue_.pending(), 0u);
 
   EXPECT_EQ(TracePayloadsB(tracer, TraceEventType::kMigrationCopyFault),

@@ -233,7 +233,9 @@ TEST(MachineTest, MigrationEngineRefusesWhenSaturated) {
   machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
   machine.Start();
   machine.Run(3 * kSecond);
-  EXPECT_GT(machine.metrics().promotion_failures(), 0u);
+  EXPECT_GT(machine.metrics().migration().refused[static_cast<size_t>(
+                MigrationRefusal::kBacklog)],
+            0u);
   // A couple of migrations got through before saturation.
   EXPECT_LT(machine.metrics().promoted_pages(), 100u);
 }

@@ -37,13 +37,11 @@ class StubEnv : public MigrationEnv {
     ++applied_;
   }
   void ChargeMigrationKernelTime(SimDuration d) override { kernel_time_ += d; }
-  void OnPromotionRefused() override { ++promotion_refusals_; }
 
   EventQueue queue_;
   TieredMemory memory_;
   uint64_t reclaim_requests_ = 0;
   uint64_t applied_ = 0;
-  uint64_t promotion_refusals_ = 0;
   SimDuration kernel_time_ = 0;
 
  private:
@@ -168,7 +166,6 @@ TEST_F(MigrationEngineTest, RetriesExhaustedFinalAbortReleasesReservedFrames) {
   EXPECT_FALSE(page(0).Has(kPageMigrating));    // Transaction retired.
   EXPECT_EQ(env_->memory_.node(kFastNode).used_pages(), fast_used);  // Frames released.
   EXPECT_EQ(engine_->inflight_reserved_pages(), 0u);
-  EXPECT_EQ(env_->promotion_refusals_, 1u);  // Failed promotion is reported to the host.
 }
 
 TEST_F(MigrationEngineTest, DirtyAbortsBackOffExponentiallyAndTraceTheirAttempt) {
@@ -240,8 +237,6 @@ TEST_F(MigrationEngineTest, BacklogRefusesSyncBeforeAsync) {
   EXPECT_TRUE(reclaim_ok.admitted);
 
   EXPECT_EQ(stats_.refused[static_cast<size_t>(MigrationRefusal::kBacklog)], 2u);
-  // Both refused requests were promotions.
-  EXPECT_EQ(env_->promotion_refusals_, 2u);
 }
 
 TEST_F(MigrationEngineTest, ConcurrentCopiesConserveChannelBandwidth) {
