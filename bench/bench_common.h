@@ -260,6 +260,46 @@ inline void RunMatrixTwice(const std::vector<MatrixRow>& rows,
   }
 }
 
+// The per-run check the soak benches share. The migration ledger must balance: nothing a
+// fault or a refusal touched may simply vanish, so migrations retired in the measured
+// window are at most those submitted in it plus those in flight at either end of it.
+// And at least one invariant audit must have run, or the run proves nothing. Stateless,
+// so concurrently running cells may share it.
+inline void CheckMigrationLedger(Machine& machine, ExperimentResult& result) {
+  const uint64_t retired = result.migrations_committed + result.migrations_aborted +
+                           result.migrations_parked;
+  CHECK_LE(retired, result.migrations_submitted + result.inflight_at_measure_start +
+                        machine.migration().inflight_transactions())
+      << "policy " << result.policy_name << " lost track of migrations";
+  CHECK_GT(result.audits_run, 0u)
+      << "policy " << result.policy_name << " ran without a single invariant audit";
+}
+
+// The soak benches' base (non-fabric) chaos schedule: transient/persistent copy faults,
+// channel stalls with bandwidth collapse, fast-tier pressure spikes and allocation-failure
+// windows, starting once warmup placement has settled.
+inline FaultPlan BaseChaosPlan(uint64_t seed) {
+  FaultPlan plan;
+  plan.enabled = true;
+  plan.seed = seed;
+  plan.start_after = 2 * kSecond;
+  plan.copy_fail_transient_p = 0.03;
+  plan.copy_fail_persistent_p = 0.001;
+  plan.stall_period = 900 * kMillisecond;
+  plan.stall_fire_p = 0.6;
+  plan.stall_duration = 3 * kMillisecond;
+  plan.stall_window = 40 * kMillisecond;
+  plan.stall_bandwidth_slowdown = 4.0;
+  plan.pressure_period = 1700 * kMillisecond;
+  plan.pressure_fire_p = 0.7;
+  plan.pressure_duration = 120 * kMillisecond;
+  plan.pressure_fraction = 0.08;
+  plan.alloc_fail_period = 2300 * kMillisecond;
+  plan.alloc_fail_fire_p = 0.7;
+  plan.alloc_fail_duration = 60 * kMillisecond;
+  return plan;
+}
+
 // Miniature-machine factor: 256 GB testbed / 256 MB simulated.
 inline constexpr double kBenchBandwidthScale = 1024.0;
 // Time compression: 60 s paper scan period -> 5 s bench scan period.

@@ -12,34 +12,11 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "src/common/check.h"
 #include "src/common/json.h"
 
 namespace ct = chronotier;
 
 namespace {
-
-ct::FaultPlan SoakPlan(uint64_t seed) {
-  ct::FaultPlan plan;
-  plan.enabled = true;
-  plan.seed = seed;
-  plan.start_after = 2 * ct::kSecond;  // Let warmup placement settle first.
-  plan.copy_fail_transient_p = 0.03;
-  plan.copy_fail_persistent_p = 0.001;
-  plan.stall_period = 900 * ct::kMillisecond;
-  plan.stall_fire_p = 0.6;
-  plan.stall_duration = 3 * ct::kMillisecond;
-  plan.stall_window = 40 * ct::kMillisecond;
-  plan.stall_bandwidth_slowdown = 4.0;
-  plan.pressure_period = 1700 * ct::kMillisecond;
-  plan.pressure_fire_p = 0.7;
-  plan.pressure_duration = 120 * ct::kMillisecond;
-  plan.pressure_fraction = 0.08;
-  plan.alloc_fail_period = 2300 * ct::kMillisecond;
-  plan.alloc_fail_fire_p = 0.7;
-  plan.alloc_fail_duration = 60 * ct::kMillisecond;
-  return plan;
-}
 
 ct::ExperimentConfig SoakMachine(uint64_t fault_seed) {
   ct::ExperimentConfig config;
@@ -49,23 +26,9 @@ ct::ExperimentConfig SoakMachine(uint64_t fault_seed) {
   config.warmup = 5 * ct::kSecond;
   config.measure = 20 * ct::kSecond;
   config.seed = 42 + fault_seed;
-  config.fault = SoakPlan(fault_seed);
+  config.fault = ct::BaseChaosPlan(fault_seed);
   config.audit_period = 250 * ct::kMillisecond;
   return config;
-}
-
-// Stateless per-run assertion — safe to share across concurrently running soak cells.
-void CheckLedger(ct::Machine& machine, ct::ExperimentResult& result) {
-  // Transaction ledger must balance: nothing a fault touched may simply vanish.
-  // (Counters are from the measured window; work in flight across the warmup boundary
-  // retires without a measured submission, hence the inflight_at_measure_start slack.)
-  const uint64_t retired = result.migrations_committed + result.migrations_aborted +
-                           result.migrations_parked;
-  CHECK_LE(retired, result.migrations_submitted + result.inflight_at_measure_start +
-                        machine.migration().inflight_transactions())
-      << "policy " << result.policy_name << " lost track of migrations";
-  CHECK_GT(result.audits_run, 0u)
-      << "soak ran without a single audit — the run proves nothing";
 }
 
 }  // namespace
@@ -116,7 +79,8 @@ int main(int argc, char** argv) {
                      ct::BenchPmbenchProc(/*working_set_mb=*/20, 0.5)};
     rows.push_back(std::move(row));
   }
-  const auto results = ct::RunMatrix(rows, policies, flags, /*inspect=*/nullptr, CheckLedger);
+  const auto results = ct::RunMatrix(rows, policies, flags, /*inspect=*/nullptr,
+                                     ct::CheckMigrationLedger);
 
   ct::TextTable table({"policy", "row", "committed", "parked", "transient", "persistent",
                        "quarantined", "stalls", "spikes", "alloc refusals", "audits"});
