@@ -13,6 +13,7 @@
 #include "src/harness/machine.h"
 #include "src/policies/endpoint_aware.h"
 #include "src/topology/congestion.h"
+#include "src/topology/health.h"
 #include "src/topology/topology.h"
 #include "src/workloads/patterns.h"
 #include "tests/experiment_result_testutil.h"
@@ -158,6 +159,31 @@ TEST(TopologyRouteTest, HopDistanceAndRoutes) {
   EXPECT_EQ(topo.HopPenalty(0), 0);
   EXPECT_EQ(topo.HopPenalty(1), 0);
   EXPECT_EQ(topo.HopPenalty(2), topo.spec().hop_latency);
+}
+
+// The path a copy a -> b takes while the fabric's links are in `links`: empty when a down
+// link cuts it.
+std::vector<NodeId> SurvivingRoute(const Topology& topo, NodeId a, NodeId b,
+                                   const std::vector<LinkHealth>& links) {
+  return topo.RouteAvoiding(a, b, links);
+}
+
+// Every edge is a child-parent link, so two nodes have exactly one path: a down link on it
+// partitions the pair, a down link elsewhere changes nothing, and a degraded link is slow,
+// not gone.
+TEST(TopologyRouteTest, OnlyADownLinkOnThePathBlocksIt) {
+  const Topology topo = MustBuild(Spec("(1,(2,3),4)", 4));
+  std::vector<LinkHealth> links(topo.edges().size(), LinkHealth::kUp);
+  const auto root_link = static_cast<size_t>(topo.EdgeIndex(0, 1));
+  links[root_link] = LinkHealth::kDown;
+  EXPECT_TRUE(SurvivingRoute(topo, 2, 3, links).empty());  // 2 -> 1 -> 0 -> 3 crosses it.
+  EXPECT_TRUE(SurvivingRoute(topo, 1, 0, links).empty());
+  EXPECT_EQ(SurvivingRoute(topo, 0, 3, links), topo.Route(0, 3));  // Off the path.
+  EXPECT_EQ(SurvivingRoute(topo, 2, 1, links), topo.Route(2, 1));
+  EXPECT_EQ(SurvivingRoute(topo, 2, 2, links), (std::vector<NodeId>{2}));
+  links[root_link] = LinkHealth::kDegraded;
+  EXPECT_EQ(SurvivingRoute(topo, 2, 3, links), topo.Route(2, 3));
+  EXPECT_EQ(SurvivingRoute(topo, 1, 0, links), topo.Route(1, 0));
 }
 
 TEST(CongestionTest, ChargesCappedBacklogDeterministically) {
