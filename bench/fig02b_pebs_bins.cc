@@ -27,9 +27,8 @@ std::vector<double> RunBinDistribution(ct::PageSizeKind kind) {
   ct::Experiment::Run(
       config,
       [] {
-        ct::MemtisConfig memtis;
-        memtis.enable_splitting = false;  // Isolate the counter-starvation effect.
-        return std::make_unique<ct::MemtisPolicy>(memtis);
+        // Splitting off: isolate the counter-starvation effect.
+        return std::make_unique<ct::MemtisPolicy>(/*enable_splitting=*/false);
       },
       procs, nullptr, [&proportions](ct::Machine& machine, ct::ExperimentResult&) {
         // Count tracked units (not base pages) per counter bin directly from page metadata.

@@ -1,5 +1,5 @@
-// Table 2: Chrono's configurable parameters and their defaults, printed from the live
-// configuration structs so the table cannot drift from the code.
+// Table 2: Chrono's configurable parameters and their defaults, printed from ChronoConfig's
+// fields and constants so the table cannot drift from the code.
 
 #include <cstdio>
 
@@ -24,11 +24,11 @@ int main(int argc, char** argv) {
                 "Period for Ticking-scan to loop over address space"});
   table.AddRow({"P-victim", ct::TextTable::Percent(config.p_victim, 3),
                 "Ratio of pages sampled in the DCSC scheme"});
-  table.AddRow({"B-bucket", ct::TextTable::Int(config.b_buckets),
+  table.AddRow({"B-bucket", ct::TextTable::Int(ct::ChronoConfig::kBBuckets),
                 "Number of different CIT-levels in DCSC stats"});
   table.AddRow({"delta-step", ct::TextTable::Num(config.delta_step, 1),
                 "Adaption step for CIT threshold adjustment"});
-  table.AddRow({"CIT threshold", ct::FormatDuration(config.initial_cit_threshold),
+  table.AddRow({"CIT threshold", ct::FormatDuration(ct::ChronoConfig::kInitialCitThreshold),
                 "Auto-tuned (initial value)"});
   table.AddRow({"Rate limit", ct::TextTable::Num(config.initial_rate_limit_mbps, 0) + " MBps",
                 "Auto-tuned (initial value)"});
@@ -38,10 +38,11 @@ int main(int argc, char** argv) {
   ct::TextTable derived({"constant", "value"});
   derived.AddRow({"filter rounds (default)", ct::TextTable::Int(config.filter_rounds)});
   derived.AddRow({"tuning mode (default)", "DCSC (fully automatic)"});
-  derived.AddRow({"max CIT threshold", ct::FormatDuration(config.max_cit_threshold) +
-                                            " (2^27 ms ~ 37.3 h)"});
-  derived.AddRow({"thrash ratio threshold", ct::TextTable::Percent(
-                                                config.thrash_ratio_threshold, 0)});
+  derived.AddRow({"max CIT threshold",
+                  ct::FormatDuration(ct::ChronoConfig::kMaxCitThreshold) +
+                      " (2^27 ms ~ 37.3 h)"});
+  derived.AddRow({"thrash ratio threshold",
+                  ct::TextTable::Percent(ct::ChronoConfig::kThrashRatioThreshold, 0)});
   derived.AddRow({"TH(2MB) scaling", "TH(4KB) / 512"});
   derived.AddRow({"TH(1GB) scaling", "TH(4KB) / 512^2"});
   derived.Print();

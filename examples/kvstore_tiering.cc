@@ -63,8 +63,6 @@ int main() {
   geometry.scan_period = 5 * ct::kSecond;
   geometry.scan_step_pages = 1024;
 
-  ct::TppConfig tpp;
-  tpp.geometry = geometry;
   ct::ChronoConfig chrono_config = ct::ChronoConfig::Full();
   chrono_config.geometry = geometry;
 
@@ -76,7 +74,7 @@ int main() {
   };
   const Row rows[] = {
       {"Linux-NB", RunStore(std::make_unique<ct::LinuxNumaBalancingPolicy>(geometry))},
-      {"TPP", RunStore(std::make_unique<ct::TppPolicy>(tpp))},
+      {"TPP", RunStore(std::make_unique<ct::TppPolicy>(geometry))},
       {"Chrono", RunStore(std::make_unique<ct::ChronoPolicy>(chrono_config))},
   };
   for (const Row& row : rows) {

@@ -34,35 +34,12 @@ void Log2Histogram::Clear() {
   total_ = 0;
 }
 
-void Log2Histogram::Merge(const Log2Histogram& other) {
-  CHECK_EQ(other.num_buckets(), num_buckets()) << "merging histograms of different shapes";
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  total_ += other.total_;
-}
-
-void Log2Histogram::TransferValue(uint64_t old_value, uint64_t new_value) {
-  const int old_bucket = std::min(BucketFor(old_value), num_buckets() - 1);
-  const int new_bucket = std::min(BucketFor(new_value), num_buckets() - 1);
-  if (old_bucket == new_bucket) {
-    return;
-  }
-  auto& old_count = buckets_[static_cast<size_t>(old_bucket)];
-  if (old_count > 0) {
-    --old_count;
-    ++buckets_[static_cast<size_t>(new_bucket)];
-  }
-}
-
 void Log2Histogram::TransferValues(uint64_t old_value, uint64_t new_value, uint64_t count) {
   const int old_bucket = std::min(BucketFor(old_value), num_buckets() - 1);
   const int new_bucket = std::min(BucketFor(new_value), num_buckets() - 1);
   if (old_bucket == new_bucket || count == 0) {
     return;
   }
-  // N repeated TransferValue calls each move one sample while the source bucket is
-  // non-empty, so the bulk form moves min(count, source occupancy).
   auto& old_count = buckets_[static_cast<size_t>(old_bucket)];
   const uint64_t moved = std::min<uint64_t>(count, old_count);
   old_count -= moved;
@@ -116,17 +93,6 @@ double Log2Histogram::Quantile(double fraction) const {
   return static_cast<double>(BucketUpperBound(num_buckets() - 1));
 }
 
-int Log2Histogram::BucketForCumulativeCount(uint64_t target) const {
-  uint64_t seen = 0;
-  for (int i = 0; i < num_buckets(); ++i) {
-    seen += buckets_[static_cast<size_t>(i)];
-    if (seen >= target) {
-      return i;
-    }
-  }
-  return num_buckets() - 1;
-}
-
 uint64_t Log2Histogram::CumulativeCount(int bucket) const {
   bucket = std::min(bucket, num_buckets() - 1);
   uint64_t seen = 0;
@@ -134,29 +100,6 @@ uint64_t Log2Histogram::CumulativeCount(int bucket) const {
     seen += buckets_[static_cast<size_t>(i)];
   }
   return seen;
-}
-
-LinearHistogram::LinearHistogram(double lo, double hi, int num_buckets) : lo_(lo), hi_(hi) {
-  CHECK(hi > lo && num_buckets > 0) << "degenerate range [" << lo << ", " << hi << ")";
-  buckets_.assign(static_cast<size_t>(num_buckets), 0);
-}
-
-void LinearHistogram::Add(double value, uint64_t count) {
-  const double clamped = std::clamp(value, lo_, hi_);
-  auto index = static_cast<int>((clamped - lo_) / (hi_ - lo_) * num_buckets());
-  index = std::clamp(index, 0, num_buckets() - 1);
-  buckets_[static_cast<size_t>(index)] += count;
-  total_ += count;
-}
-
-void LinearHistogram::Clear() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
-  total_ = 0;
-}
-
-double LinearHistogram::bucket_center(int bucket) const {
-  const double width = (hi_ - lo_) / num_buckets();
-  return lo_ + (bucket + 0.5) * width;
 }
 
 }  // namespace chronotier

@@ -1,5 +1,5 @@
-// Histogram types shared by the CIT statistics subsystem, the PEBS model, and the
-// latency-reporting harness.
+// The power-of-two histogram shared by the CIT statistics subsystem, Memtis's PEBS counter
+// histogram, and the latency-reporting harness.
 
 #pragma once
 
@@ -29,20 +29,13 @@ class Log2Histogram {
   }
   void Clear();
 
-  // Merges another histogram bucket-wise; sizes must match.
-  void Merge(const Log2Histogram& other);
-
   // Decays every bucket by half (integer division). Used by cooling-style policies.
   void Cool();
 
-  // Moves one sample whose value changed from `old_value` to `new_value` (e.g. a per-page
-  // access counter that was just incremented). No-op on the total.
-  void TransferValue(uint64_t old_value, uint64_t new_value);
-
-  // Moves `count` samples from `old_value`'s bucket to `new_value`'s in one step —
-  // bit-identical to calling TransferValue(old_value, new_value) `count` times (each call
-  // moves at most what the source bucket holds), without the per-call loop. Lets callers
-  // tracking huge-page units (512 base pages per sample) stay O(1) per event.
+  // Moves `count` samples whose value changed from `old_value` to `new_value` (e.g. a
+  // per-unit access counter that was just incremented, weighted by the unit's base pages)
+  // from the old bucket to the new one in one step. Moves at most what the source bucket
+  // holds; no-op on the total.
   void TransferValues(uint64_t old_value, uint64_t new_value, uint64_t count);
 
   // Removes one previously added sample with the given value.
@@ -69,36 +62,12 @@ class Log2Histogram {
   // linear interpolation within the containing bucket.
   double Quantile(double fraction) const;
 
-  // Smallest bucket index b such that buckets [0, b] contain at least `target` samples, or
-  // num_buckets()-1 if the total is smaller than target. Used for overlap identification.
-  int BucketForCumulativeCount(uint64_t target) const;
-
   // Number of samples in buckets [0, bucket] inclusive.
   uint64_t CumulativeCount(int bucket) const;
 
   const std::vector<uint64_t>& buckets() const { return buckets_; }
 
  private:
-  std::vector<uint64_t> buckets_;
-  uint64_t total_ = 0;
-};
-
-// Fixed-width linear histogram (used for address-space access density profiles).
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, int num_buckets);
-
-  void Add(double value, uint64_t count = 1);
-  void Clear();
-
-  uint64_t bucket_count(int bucket) const { return buckets_[static_cast<size_t>(bucket)]; }
-  int num_buckets() const { return static_cast<int>(buckets_.size()); }
-  uint64_t total() const { return total_; }
-  double bucket_center(int bucket) const;
-
- private:
-  double lo_;
-  double hi_;
   std::vector<uint64_t> buckets_;
   uint64_t total_ = 0;
 };

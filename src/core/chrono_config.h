@@ -17,35 +17,37 @@ enum class ChronoTuningMode {
 };
 
 struct ChronoConfig {
-  // --- Table 2 defaults ---
-  ScanGeometry geometry;  // Scan step 256 MB, scan period 60 s.
-  double p_victim = 0.00003;                      // 0.003% of the VM space per DCSC probe.
-  int b_buckets = 28;                             // CIT heat-map levels.
-  double delta_step = 0.5;                        // Threshold adaption step δ.
-  SimDuration initial_cit_threshold = 1000 * kMillisecond;  // Auto-tuned afterwards.
-  double initial_rate_limit_mbps = 100.0;                   // Auto-tuned afterwards.
-
-  // --- structural knobs ---
-  int filter_rounds = 2;  // Candidate-filter rounds (Fig. 13: basic=1, twice=2, thrice=3).
-  ChronoTuningMode tuning = ChronoTuningMode::kDcsc;
-  // In semi-auto mode the rate limit is fixed (user-provided); DCSC mode adapts it.
-
-  // --- secondary timing ---
-  SimDuration dcsc_period = 1 * kSecond;          // DCSC probe cadence ("per-second scans").
-  int dcsc_aggregate_ticks = 5;                   // Ticks between heat-map aggregations.
-  SimDuration queue_drain_period = 100 * kMillisecond;
-
+  // --- Table 2 settings the benches sweep (Figs. 10-11) ---
+  ScanGeometry geometry;      // Scan step 256 MB, scan period 60 s.
+  double p_victim = 0.00003;  // 0.003% of the VM space per DCSC probe.
+  double delta_step = 0.5;    // Threshold adaption step δ.
   // Small-simulation floor: P% of a small space can round to zero pages.
   uint64_t min_victims_per_process = 64;
 
+  // --- design variants (Fig. 13) ---
+  int filter_rounds = 2;  // Candidate-filter rounds (basic=1, twice=2, thrice=3).
+  ChronoTuningMode tuning = ChronoTuningMode::kDcsc;
+  // Auto-tuned afterwards in DCSC mode; fixed (user-provided) in semi-auto mode.
+  double initial_rate_limit_mbps = 100.0;
+
+  // --- Table 2 defaults no caller varies ---
+  static constexpr int kBBuckets = 28;  // CIT heat-map levels.
+  static constexpr SimDuration kInitialCitThreshold = 1000 * kMillisecond;  // Auto-tuned.
+
+  // --- secondary timing ---
+  static constexpr SimDuration kDcscPeriod = 1 * kSecond;  // Probe cadence ("per-second").
+  static constexpr int kDcscAggregateTicks = 5;  // Ticks between heat-map aggregations.
+  static constexpr SimDuration kQueueDrainPeriod = 100 * kMillisecond;
+
   // --- thrashing monitor (Section 3.3.2) ---
-  double thrash_ratio_threshold = 0.2;
+  static constexpr double kThrashRatioThreshold = 0.2;
 
   // --- bounds ---
-  SimDuration min_cit_threshold = 1 * kMillisecond;
-  SimDuration max_cit_threshold = (1ll << 27) * kMillisecond;  // ~37.3 h, per Section 4.
-  double min_rate_limit_mbps = 4.0;
-  double max_rate_limit_mbps = 4096.0;
+  static constexpr SimDuration kMinCitThreshold = 1 * kMillisecond;
+  // ~37.3 h, per Section 4.
+  static constexpr SimDuration kMaxCitThreshold = (1ll << 27) * kMillisecond;
+  static constexpr double kMinRateLimitMbps = 4.0;
+  static constexpr double kMaxRateLimitMbps = 4096.0;
 
   // Named variants from the design-choice analysis (Section 5.4).
   static ChronoConfig Basic();                     // 1-round filter, semi-auto @120 MB/s.

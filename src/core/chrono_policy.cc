@@ -12,12 +12,13 @@ ChronoPolicy::ChronoPolicy(ChronoConfig config, std::string label)
       label_(std::move(label)),
       filter_(config.filter_rounds),
       controller_(config.delta_step,
-                  static_cast<uint32_t>(config.min_cit_threshold / kMillisecond),
-                  static_cast<uint32_t>(config.max_cit_threshold / kMillisecond)),
-      dcsc_(config.b_buckets, config.geometry.scan_period),
-      thrash_(config.thrash_ratio_threshold, config.geometry.scan_period),
+                  static_cast<uint32_t>(ChronoConfig::kMinCitThreshold / kMillisecond),
+                  static_cast<uint32_t>(ChronoConfig::kMaxCitThreshold / kMillisecond)),
+      dcsc_(ChronoConfig::kBBuckets, config.geometry.scan_period),
+      thrash_(ChronoConfig::kThrashRatioThreshold, config.geometry.scan_period),
       rng_(SplitMix64(0xC17C17C17ull)),
-      threshold_ms_(static_cast<uint32_t>(config.initial_cit_threshold / kMillisecond)),
+      threshold_ms_(
+          static_cast<uint32_t>(ChronoConfig::kInitialCitThreshold / kMillisecond)),
       rate_limit_mbps_(config.initial_rate_limit_mbps) {}
 
 void ChronoPolicy::Attach(Machine& machine) {
@@ -25,10 +26,10 @@ void ChronoPolicy::Attach(Machine& machine) {
 
   machine.queue().SchedulePeriodic(config_.geometry.scan_period,
                                    [this](SimTime now) { PeriodTick(now); });
-  machine.queue().SchedulePeriodic(config_.queue_drain_period,
+  machine.queue().SchedulePeriodic(ChronoConfig::kQueueDrainPeriod,
                                    [this](SimTime now) { DrainTick(now); });
   if (config_.tuning == ChronoTuningMode::kDcsc) {
-    machine.queue().SchedulePeriodic(config_.dcsc_period,
+    machine.queue().SchedulePeriodic(ChronoConfig::kDcscPeriod,
                                      [this](SimTime now) { DcscTick(now); });
   }
 
@@ -110,14 +111,6 @@ uint64_t ChronoPolicy::DemotionRefillTarget(const MemoryTier& fast_tier) const {
   return fast_tier.watermarks().pro;
 }
 
-void ChronoPolicy::OverrideCitThreshold(uint32_t threshold_ms) {
-  threshold_ms_ = std::clamp<uint32_t>(
-      threshold_ms, static_cast<uint32_t>(config_.min_cit_threshold / kMillisecond),
-      static_cast<uint32_t>(config_.max_cit_threshold / kMillisecond));
-}
-
-void ChronoPolicy::OverrideRateLimit(double mbps) { SetRateLimit(mbps); }
-
 void ChronoPolicy::PeriodTick(SimTime now) {
   const double window_seconds = ToSeconds(config_.geometry.scan_period);
   const double limit_pages = RatePagesPerSecond() * window_seconds;
@@ -137,8 +130,7 @@ void ChronoPolicy::PeriodTick(SimTime now) {
 }
 
 void ChronoPolicy::DrainTick(SimTime now) {
-  const double budget =
-      RatePagesPerSecond() * ToSeconds(config_.queue_drain_period);
+  const double budget = RatePagesPerSecond() * ToSeconds(ChronoConfig::kQueueDrainPeriod);
   drain_tokens_ = std::min(drain_tokens_ + budget, RatePagesPerSecond());
 
   while (drain_tokens_ >= 1.0) {
@@ -166,8 +158,7 @@ void ChronoPolicy::DrainTick(SimTime now) {
 
 void ChronoPolicy::DcscTick(SimTime now) {
   // Finish off victims that never faulted (cold); their censored idle time still counts.
-  const SimDuration max_age =
-      config_.dcsc_period * std::max(config_.dcsc_aggregate_ticks, 1);
+  const SimDuration max_age = ChronoConfig::kDcscPeriod * ChronoConfig::kDcscAggregateTicks;
   dcsc_.ExpireStale(now, max_age, [](PageInfo& page) { page.ClearFlag(kPageProbed); });
 
   for (auto& process : machine()->processes()) {
@@ -175,7 +166,7 @@ void ChronoPolicy::DcscTick(SimTime now) {
   }
 
   ++dcsc_tick_count_;
-  if (dcsc_tick_count_ % std::max(config_.dcsc_aggregate_ticks, 1) == 0) {
+  if (dcsc_tick_count_ % ChronoConfig::kDcscAggregateTicks == 0) {
     const uint64_t fast_used = machine()->memory().node(kFastNode).used_pages();
     const uint64_t slow_used = machine()->memory().node(kSlowNode).used_pages();
     const DcscOutputs out = dcsc_.Aggregate(fast_used, slow_used);
@@ -183,8 +174,8 @@ void ChronoPolicy::DcscTick(SimTime now) {
       // Exponential smoothing keeps single-window noise from whipsawing the parameters.
       threshold_ms_ = static_cast<uint32_t>(std::clamp<double>(
           0.5 * threshold_ms_ + 0.5 * out.cit_threshold_ms,
-          static_cast<double>(config_.min_cit_threshold / kMillisecond),
-          static_cast<double>(config_.max_cit_threshold / kMillisecond)));
+          static_cast<double>(ChronoConfig::kMinCitThreshold / kMillisecond),
+          static_cast<double>(ChronoConfig::kMaxCitThreshold / kMillisecond)));
       SetRateLimit(0.5 * rate_limit_mbps_ + 0.5 * out.rate_limit_mbps);
       EmitTrace(machine()->tracer(), TraceCategory::kTuning, TraceEventType::kTuningUpdate,
                 now, kTraceNoPid, kTraceNoVpn, kInvalidNode, kInvalidNode, threshold_ms_,
@@ -227,7 +218,8 @@ void ChronoPolicy::SelectVictims(Process& process, SimTime now) {
 }
 
 void ChronoPolicy::SetRateLimit(double mbps) {
-  rate_limit_mbps_ = std::clamp(mbps, config_.min_rate_limit_mbps, config_.max_rate_limit_mbps);
+  rate_limit_mbps_ =
+      std::clamp(mbps, ChronoConfig::kMinRateLimitMbps, ChronoConfig::kMaxRateLimitMbps);
   UpdateProWatermark();
 }
 

@@ -42,12 +42,6 @@ class ChronoPolicy : public ScanPolicyBase {
   const PromotionQueue& promotion_queue() const { return queue_; }
   const DcscCollector& dcsc() const { return dcsc_; }
   const ThrashMonitor& thrash_monitor() const { return thrash_; }
-  const ChronoConfig& chrono_config() const { return config_; }
-
-  // Manual overrides (the procfs-controller path, Section 4): values clamp to the
-  // configured bounds; the tuners keep running from the new value.
-  void OverrideCitThreshold(uint32_t threshold_ms);
-  void OverrideRateLimit(double mbps);
 
   // Instrumentation hook: invoked for every CIT measurement (page, cit_ms). Used by the
   // Fig. 10a correlation bench; zero-cost when unset.

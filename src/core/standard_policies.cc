@@ -14,25 +14,9 @@ std::vector<NamedPolicyFactory> StandardPolicySet(ScanGeometry geometry) {
   return {
       {"Linux-NB",
        [geometry] { return std::make_unique<LinuxNumaBalancingPolicy>(geometry); }},
-      {"AutoTiering",
-       [geometry] {
-         AutoTieringConfig config;
-         config.geometry = geometry;
-         return std::make_unique<AutoTieringPolicy>(config);
-       }},
-      {"Multi-Clock",
-       [geometry] {
-         MultiClockConfig config;
-         config.geometry = geometry;
-         return std::make_unique<MultiClockPolicy>(config);
-       }},
-      {"TPP",
-       [geometry] {
-         TppConfig config;
-         config.geometry = geometry;
-         config.recency_window = geometry.scan_period;
-         return std::make_unique<TppPolicy>(config);
-       }},
+      {"AutoTiering", [geometry] { return std::make_unique<AutoTieringPolicy>(geometry); }},
+      {"Multi-Clock", [geometry] { return std::make_unique<MultiClockPolicy>(geometry); }},
+      {"TPP", [geometry] { return std::make_unique<TppPolicy>(geometry); }},
       {"Memtis", [] { return std::make_unique<MemtisPolicy>(); }},
       {"Chrono",
        [geometry] {
@@ -45,11 +29,8 @@ std::vector<NamedPolicyFactory> StandardPolicySet(ScanGeometry geometry) {
 
 std::vector<NamedPolicyFactory> TopologyPolicySet(ScanGeometry geometry) {
   std::vector<NamedPolicyFactory> set = StandardPolicySet(geometry);
-  set.push_back({"endpoint_aware_hotness", [geometry] {
-                   EndpointAwareConfig config;
-                   config.geometry = geometry;
-                   return std::make_unique<EndpointAwarePolicy>(config);
-                 }});
+  set.push_back({"endpoint_aware_hotness",
+                 [geometry] { return std::make_unique<EndpointAwarePolicy>(geometry); }});
   return set;
 }
 

@@ -10,8 +10,9 @@
 //   link faults      pick a topology edge; either collapse its bandwidth (the channel's
 //                    degrade window) or take it down entirely — the TopologyHealth edge
 //                    goes kDown, the CopyChannel refuses service (bookings while down are
-//                    counted and audited), and the migration engine re-routes in-flight
-//                    passes over the surviving fabric.
+//                    counted and audited), and the migration engine re-books in-flight
+//                    passes that crossed it on their tree path (the only path), parking
+//                    them while the link stays down.
 //   endpoint faults  mark a non-root endpoint kFailing: the engine refuses new work
 //                    targeting it while the driver pumps the host's evacuation callback
 //                    (reclaim-class drain of resident pages to surviving endpoints) until

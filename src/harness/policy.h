@@ -3,8 +3,9 @@
 // A TieringPolicy is the model's equivalent of a kernel memory-tiering patch set: it hooks
 // NUMA hint faults and demand allocations, may register periodic daemons on the machine's
 // event queue, and drives page migration through the machine's promote/demote services.
-// Six implementations exist — Linux-NB, AutoTiering, Multi-Clock, TPP, Memtis (baselines,
-// src/policies) and Chrono (src/core).
+// Seven implementations exist — Linux-NB, AutoTiering, Multi-Clock, TPP, Memtis (the
+// paper's baselines) and endpoint_aware_hotness (N-endpoint placement), all in
+// src/policies, and Chrono (src/core).
 
 #pragma once
 
@@ -76,8 +77,9 @@ class TieringPolicy {
     return fast_tier.watermarks().high;
   }
 
-  // Whether the machine's shared reclaim daemon should run (policies with bespoke demotion
-  // logic, e.g. Multi-Clock, return false and demote from their own daemons).
+  // Whether the machine's shared reclaim daemon should run. Every shipped policy keeps it;
+  // a policy that demoted only from its own daemons would return false. (Multi-Clock
+  // demotes level-0 pages itself *and* relies on shared reclaim.)
   virtual bool WantsSharedReclaim() const { return true; }
 
   // Page size the policy is designed for; experiments honour it unless they pin a size

@@ -65,13 +65,13 @@ SimDuration MigrationEngine::RouteBacklog(NodeId from, NodeId to, SimTime now) c
 
 std::vector<NodeId> MigrationEngine::HealthyRoute(NodeId from, NodeId to) const {
   const TieredMemory& memory = env_->memory();
-  const Topology& topo = memory.topology();
-  if (memory.health().links_down() == 0) {
-    // Fault-free fast path: never allocates health state, matches pre-fabric routing.
-    if (topo.EdgeIndex(from, to) >= 0) return {from, to};
-    return topo.Route(from, to);
+  std::vector<NodeId> route = memory.topology().Route(from, to);
+  // links_down() first: a fault-free fabric never walks the link states.
+  if (memory.health().links_down() > 0 &&
+      !memory.topology().PathIsUp(route, memory.health().links())) {
+    route.clear();
   }
-  return topo.RouteAvoiding(from, to, memory.health().links());
+  return route;
 }
 
 void MigrationEngine::OnLinkDown(NodeId lo, NodeId hi, SimTime now) {
@@ -241,8 +241,8 @@ bool MigrationEngine::BookCopy(Transaction& txn, SimTime now, SimTime earliest,
   const uint64_t bytes = txn.pages * kBasePageSize;
   TieredMemory& memory = env_->memory();
 
-  // Route over the surviving fabric first: a pass that cannot be routed must fail with no
-  // side effects (no attempt counted, no bytes charged) so the caller can park cleanly.
+  // Route first: a pass whose path crosses a down link must fail with no side effects (no
+  // attempt counted, no bytes charged) so the caller can park cleanly.
   std::vector<NodeId> route = HealthyRoute(txn.from, txn.to);
   if (route.size() < 2) {
     return false;
@@ -286,11 +286,11 @@ bool MigrationEngine::BookCopy(Transaction& txn, SimTime now, SimTime earliest,
   };
 
   if (route.size() == 2) {
-    // Directly connected (or a one-hop detour): a single leg, the historical behaviour.
+    // Directly connected: a single leg, the historical behaviour.
     booking = book_leg(route[0], route[1], earliest);
   } else {
-    // Routed copy: store-and-forward over the (surviving) path, booking bandwidth on
-    // every traversed link. Leg k+1 starts no earlier than leg k finishes.
+    // Routed copy: store-and-forward over the tree path, booking bandwidth on every
+    // traversed link. Leg k+1 starts no earlier than leg k finishes.
     ++stats_->multi_hop_copies;
     SimTime leg_earliest = earliest;
     for (size_t i = 0; i + 1 < route.size(); ++i) {
@@ -359,8 +359,9 @@ MigrationEngine::PassVerdict MigrationEngine::ResolvePass(Transaction& txn, SimT
 
   // Fabric link failure beats everything else: a pass that crossed a link that went down
   // mid-flight never delivered its bytes, so neither the fault oracle nor the dirty check
-  // applies. The retry re-routes over the surviving fabric (BookCopy recomputes the path
-  // and clears the flag). Only async passes can be flagged: OnLinkDown walks inflight_.
+  // applies. The retry re-books the same tree path: BookCopy clears the flag once the link
+  // is back up, and fails (the pass parks) while it is still down. Only async passes can
+  // be flagged: OnLinkDown walks inflight_.
   if (txn.leg_failed) {
     if (txn.reroute_attempts < config_.max_reroute_attempts) {
       EmitTrace(tracer_, TraceCategory::kMigration, TraceEventType::kMigrationReroute, now,

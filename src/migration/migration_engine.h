@@ -145,9 +145,10 @@ class MigrationEngine {
 
   // Fabric fault notification: the edge {lo, hi} just went down. Every in-flight
   // transaction whose current copy pass crosses that edge is marked; its copy-done event
-  // dirty-aborts the pass and re-routes over the surviving fabric (bounded re-route
-  // budget, park-at-source fallback). Booking-time avoidance is automatic — BookCopy
-  // consults TopologyHealth — so this only handles passes already in flight.
+  // dirty-aborts the pass and re-books it on the same tree path, the only one (bounded
+  // re-route budget); a pass whose link is still down parks at its source. New bookings
+  // check TopologyHealth themselves (BookCopy), so this only handles passes already in
+  // flight.
   void OnLinkDown(NodeId lo, NodeId hi, SimTime now);
 
  private:
@@ -172,9 +173,8 @@ class MigrationEngine {
   size_t ChannelIndex(NodeId from, NodeId to) const;
   CopyChannel& channel_mutable(NodeId from, NodeId to);
 
-  // The node path a copy from -> to would take over surviving links: the direct edge or
-  // tree route when no link is down, a recomputed detour otherwise. Empty when down links
-  // partition the pair.
+  // The node path a copy from -> to takes: the tree route (the direct edge when the pair
+  // is adjacent). Empty while a down link lies on it, since a tree offers no detour.
   std::vector<NodeId> HealthyRoute(NodeId from, NodeId to) const;
 
   // Books one copy pass for `txn` (charging copy CPU) into *booking. A pass whose tier

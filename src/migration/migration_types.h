@@ -118,8 +118,8 @@ struct MigrationEngineConfig {
   // endpoint refuses (kEndpointSaturated) instead of queueing unboundedly.
   uint64_t endpoint_inflight_page_limit = ~0ull;
   // Re-booking attempts after a copy pass is invalidated by a link going down mid-flight
-  // (fabric faults). Each re-route recomputes the surviving path; when the budget is
-  // exhausted (or no surviving path exists) the transaction parks at its source.
+  // (fabric faults). Each re-route re-books the same tree path; when the budget is
+  // exhausted (or a down link still cuts the path) the transaction parks at its source.
   int max_reroute_attempts = 3;
 };
 
@@ -149,8 +149,8 @@ struct MigrationStats {
   uint64_t multi_hop_copies = 0;
   uint64_t multi_hop_legs = 0;
   // Fabric faults: copy passes invalidated by a link going down mid-flight and re-booked
-  // over the recomputed surviving path, and transactions parked at their source because
-  // the re-route budget ran out or no surviving path existed.
+  // on their tree path, and transactions parked at their source because the re-route
+  // budget ran out or a down link still cut the path.
   uint64_t reroutes = 0;
   uint64_t reroute_parks = 0;
   // FNV-1a over (owner, vpn, target, commit time) in commit order; two runs of the same

@@ -4,9 +4,15 @@
 
 namespace chronotier {
 
-AutoTieringPolicy::AutoTieringPolicy(AutoTieringConfig config)
-    : ScanPolicyBase(config.geometry), config_(config) {
-  set_extra_visit_cost(config_.lap_maintenance_cost);
+namespace {
+// Promote when at least this many of the last 8 laps saw a fault.
+constexpr int kPromoteLapPopcount = 2;
+// LAP-vector/list maintenance cost per scanned page.
+constexpr SimDuration kLapMaintenanceCost = 220 * kNanosecond;
+}  // namespace
+
+AutoTieringPolicy::AutoTieringPolicy(ScanGeometry geometry) : ScanPolicyBase(geometry) {
+  set_extra_visit_cost(kLapMaintenanceCost);
 }
 
 void AutoTieringPolicy::ScanVisit(Process& /*process*/, Vma& /*vma*/, PageInfo& unit,
@@ -25,7 +31,7 @@ SimDuration AutoTieringPolicy::OnHintFault(Process& /*process*/, Vma& vma, PageI
   if (unit.node != kFastNode) {
     const int popcount =
         std::popcount((unit.policy_word & kLapMask) | 1u);  // Count this fault too.
-    if (popcount >= config_.promote_lap_popcount) {
+    if (popcount >= kPromoteLapPopcount) {
       // Opportunistic promotion: inline, stalls the faulting access.
       EmitTrace(machine()->tracer(), TraceCategory::kPolicy, TraceEventType::kPolicyPromote,
                 now, unit.owner, unit.vpn, unit.node, kFastNode,

@@ -13,17 +13,9 @@
 
 namespace chronotier {
 
-struct AutoTieringConfig {
-  ScanGeometry geometry;
-  // Promote when at least this many of the last 8 laps saw a fault.
-  int promote_lap_popcount = 2;
-  // LAP-vector/list maintenance cost per scanned page.
-  SimDuration lap_maintenance_cost = 220 * kNanosecond;
-};
-
 class AutoTieringPolicy : public ScanPolicyBase {
  public:
-  explicit AutoTieringPolicy(AutoTieringConfig config = {});
+  explicit AutoTieringPolicy(ScanGeometry geometry = {});
 
   std::string_view name() const override { return "AutoTiering"; }
 
@@ -37,8 +29,6 @@ class AutoTieringPolicy : public ScanPolicyBase {
   // policy_word layout: bits 0-7 LAP vector, bit 8 pending-fault marker.
   static constexpr uint32_t kLapMask = 0xffu;
   static constexpr uint32_t kPendingBit = 1u << 8;
-
-  AutoTieringConfig config_;
 };
 
 }  // namespace chronotier

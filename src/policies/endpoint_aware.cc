@@ -4,8 +4,26 @@
 
 namespace chronotier {
 
-EndpointAwarePolicy::EndpointAwarePolicy(EndpointAwareConfig config)
-    : ScanPolicyBase(config.geometry), config_(config) {}
+namespace {
+// Hotness scoring (stored in PageInfo::policy_word): +kScoreGain when the accessed bit is
+// set at scan time (capped), -1 decay when it is not.
+constexpr uint32_t kScoreGain = 2;
+constexpr uint32_t kScoreCap = 16;
+// Units with at least this score are promotion candidates.
+constexpr uint32_t kPromoteThreshold = 4;
+// Max units submitted for async promotion per scan tick (per process).
+constexpr uint64_t kPromoteBatch = 64;
+// Weight on the congestion term of the demotion-target score: each nanosecond of link
+// backlog counts as `kCongestionWeight` nanoseconds of latency.
+constexpr double kCongestionWeight = 1.0;
+// Backlog beyond this no longer worsens an endpoint's score (a deeply backed-up link is
+// simply "bad", and an unbounded term would make one migration burst repel all demotion
+// traffic for seconds).
+constexpr SimDuration kCongestionBacklogCap = 10 * kMicrosecond;
+// An endpoint is eligible as a demotion target while its free pages exceed its low
+// watermark by this many unit-pages (headroom so reclaim does not chase watermarks).
+constexpr uint64_t kDemotionHeadroomPages = 512;
+}  // namespace
 
 SimDuration EndpointAwarePolicy::OnHintFault(Process& /*process*/, Vma& /*vma*/,
                                              PageInfo& /*unit*/, bool /*is_store*/,
@@ -25,12 +43,12 @@ void EndpointAwarePolicy::ScanVisit(Process& /*process*/, Vma& /*vma*/, PageInfo
   uint32_t score = unit.policy_word;
   if (unit.accessed()) {
     unit.ClearFlag(kPageAccessed);
-    score = std::min(score + config_.score_gain, config_.score_cap);
+    score = std::min(score + kScoreGain, kScoreCap);
   } else if (score > 0) {
     --score;
   }
   unit.policy_word = score;
-  if (score >= config_.promote_threshold && !unit.Has(kPageMigrating)) {
+  if (score >= kPromoteThreshold && !unit.Has(kPageMigrating)) {
     candidates_.push_back({&unit, score});
   }
 }
@@ -50,7 +68,7 @@ void EndpointAwarePolicy::AfterScanTick(Process& /*process*/, SimTime now,
             });
   uint64_t submitted = 0;
   for (const Candidate& candidate : candidates_) {
-    if (submitted >= config_.promote_batch) {
+    if (submitted >= kPromoteBatch) {
       break;
     }
     PageInfo& unit = *candidate.unit;
@@ -88,14 +106,14 @@ NodeId EndpointAwarePolicy::DemotionTarget(const TieredMemory& memory, const Pag
     // engine would refuse the submission anyway, and scoring them would steer reclaim
     // into a wall of kEndpointFailing refusals.
     if (!memory.health().endpoint_available(id) || tier.degraded() ||
-        tier.free_pages() < tier.watermarks().low + config_.demotion_headroom_pages) {
+        tier.free_pages() < tier.watermarks().low + kDemotionHeadroomPages) {
       continue;
     }
     double score = static_cast<double>(memory.AccessLatency(id, /*is_store=*/false));
     if (memory.congestion_enabled()) {
       const SimDuration backlog =
-          std::min(memory.congestion(id).Backlog(now), config_.congestion_backlog_cap);
-      score += config_.congestion_weight * static_cast<double>(backlog);
+          std::min(memory.congestion(id).Backlog(now), kCongestionBacklogCap);
+      score += kCongestionWeight * static_cast<double>(backlog);
     }
     if (best == kInvalidNode || score < best_score) {
       best = id;

@@ -28,31 +28,9 @@
 
 namespace chronotier {
 
-struct EndpointAwareConfig {
-  ScanGeometry geometry;
-  // Hotness scoring (stored in PageInfo::policy_word): +gain when the accessed bit is set
-  // at scan time (capped), -1 decay when it is not.
-  uint32_t score_gain = 2;
-  uint32_t score_cap = 16;
-  // Units with at least this score are promotion candidates.
-  uint32_t promote_threshold = 4;
-  // Max units submitted for async promotion per scan tick (per process).
-  uint64_t promote_batch = 64;
-  // Weight on the congestion term of the demotion-target score: each nanosecond of link
-  // backlog counts as `congestion_weight` nanoseconds of latency.
-  double congestion_weight = 1.0;
-  // Backlog beyond this no longer worsens an endpoint's score (a deeply backed-up link is
-  // simply "bad", and an unbounded term would make one migration burst repel all demotion
-  // traffic for seconds).
-  SimDuration congestion_backlog_cap = 10 * kMicrosecond;
-  // An endpoint is eligible as a demotion target while its free pages exceed its low
-  // watermark by this many unit-pages (headroom so reclaim does not chase watermarks).
-  uint64_t demotion_headroom_pages = 512;
-};
-
 class EndpointAwarePolicy : public ScanPolicyBase {
  public:
-  explicit EndpointAwarePolicy(EndpointAwareConfig config = {});
+  explicit EndpointAwarePolicy(ScanGeometry geometry = {}) : ScanPolicyBase(geometry) {}
 
   std::string_view name() const override { return "endpoint_aware_hotness"; }
 
@@ -72,7 +50,6 @@ class EndpointAwarePolicy : public ScanPolicyBase {
     uint32_t score;
   };
 
-  EndpointAwareConfig config_;
   std::vector<Candidate> candidates_;  // Collected per scan tick, drained in AfterScanTick.
 };
 

@@ -5,16 +5,14 @@
 
 namespace chronotier {
 
-MemtisPolicy::MemtisPolicy(MemtisConfig config) : config_(config) {}
-
 void MemtisPolicy::Attach(Machine& machine) {
   machine_ = &machine;
-  machine.pebs() = PebsSampler(config_.pebs);
+  // The machine's sampler runs at the PebsConfig defaults (sample period, rate cap and
+  // per-sample cost); Memtis only subscribes to it.
   machine.pebs().set_handler([this](const PebsSample& sample) { OnSample(sample); });
   machine.set_pebs_active(true);
-  machine.queue().SchedulePeriodic(config_.adjust_period,
-                                   [this](SimTime now) { AdjustTick(now); });
-  machine.queue().SchedulePeriodic(config_.cooling_period,
+  machine.queue().SchedulePeriodic(kAdjustPeriod, [this](SimTime now) { AdjustTick(now); });
+  machine.queue().SchedulePeriodic(kCoolingPeriod,
                                    [this](SimTime now) { CoolingTick(now); });
 }
 
@@ -45,7 +43,7 @@ void MemtisPolicy::OnSample(const PebsSample& sample) {
   // single bulk transfer instead of 512 identical calls.
   histogram_.TransferValues(old_count, unit.policy_word, vma->UnitPages(unit.vpn));
 
-  if (config_.enable_splitting && unit.huge_head()) {
+  if (enable_splitting_ && unit.huge_head()) {
     MaybeTrackSplit(*vma, unit, sample.vpn);
   }
 
@@ -64,11 +62,11 @@ void MemtisPolicy::MaybeTrackSplit(Vma& vma, PageInfo& unit, uint64_t vpn) {
   ++stats.samples;
   const uint64_t subpage = (vpn - unit.vpn) % kBasePagesPerHugePage;
   stats.subpage_bitmap |= 1ull << (subpage % 64);
-  if (stats.samples < config_.split_min_samples) {
+  if (stats.samples < kSplitMinSamples) {
     return;
   }
   const int distinct = std::popcount(stats.subpage_bitmap);
-  if (distinct <= config_.split_max_distinct_subpages) {
+  if (distinct <= kSplitMaxDistinctSubpages) {
     // Hot but sparse: split so the few hot 4K pages can migrate alone. The head keeps its
     // counter; the cold split-out pages join the histogram at zero.
     const uint64_t unit_pages = vma.UnitPages(unit.vpn);
@@ -97,7 +95,7 @@ void MemtisPolicy::AdjustTick(SimTime now) {
     if (unit->node == kFastNode || unit->policy_word < hot_threshold_) {
       continue;
     }
-    if (promoted >= config_.promote_batch_units) {
+    if (promoted >= kPromoteBatchUnits) {
       unit->Set(kPageQueued);
       retry.push_back(unit);
       continue;

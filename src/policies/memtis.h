@@ -21,32 +21,32 @@
 
 namespace chronotier {
 
-struct MemtisConfig {
-  PageSizeKind page_size = PageSizeKind::kHuge;  // Recommended "always" THP setting.
-  PebsConfig pebs;
-  SimDuration adjust_period = 1 * kSecond;    // Threshold recompute + promotion drain.
-  SimDuration cooling_period = 10 * kSecond;  // Counter halving.
-  uint64_t promote_batch_units = 2048;        // Max units promoted per adjust tick.
-  // Splitting: a huge unit sampled at least `split_min_samples` times whose samples land in
-  // at most `split_max_distinct_subpages` distinct sub-page slots is split.
-  bool enable_splitting = true;
-  uint64_t split_min_samples = 64;
-  int split_max_distinct_subpages = 4;
-};
-
 class MemtisPolicy : public TieringPolicy {
  public:
-  explicit MemtisPolicy(MemtisConfig config = {});
+  // Recommended "always" THP setting.
+  static constexpr PageSizeKind kPageSize = PageSizeKind::kHuge;
+  // Threshold recompute + promotion drain.
+  static constexpr SimDuration kAdjustPeriod = 1 * kSecond;
+  // Counter halving.
+  static constexpr SimDuration kCoolingPeriod = 10 * kSecond;
+  // Max units promoted per adjust tick.
+  static constexpr uint64_t kPromoteBatchUnits = 2048;
+  // Splitting: a huge unit sampled at least kSplitMinSamples times whose samples land in at
+  // most kSplitMaxDistinctSubpages distinct sub-page slots is split.
+  static constexpr uint64_t kSplitMinSamples = 64;
+  static constexpr int kSplitMaxDistinctSubpages = 4;
+
+  // `enable_splitting` = false isolates PEBS counter starvation (bench/fig02b_pebs_bins).
+  explicit MemtisPolicy(bool enable_splitting = true)
+      : enable_splitting_(enable_splitting) {}
 
   std::string_view name() const override { return "Memtis"; }
-  PageSizeKind PreferredPageSize() const override { return config_.page_size; }
+  PageSizeKind PreferredPageSize() const override { return kPageSize; }
 
   void Attach(Machine& machine) override;
   SimDuration OnHintFault(Process& process, Vma& vma, PageInfo& unit, bool is_store,
                           SimTime now) override;
   void OnDemandAllocation(Process& process, Vma& vma, PageInfo& unit, SimTime now) override;
-
-  // Exposed for tests and the Fig. 2b bench.
 
  private:
   void OnSample(const PebsSample& sample);
@@ -55,7 +55,7 @@ class MemtisPolicy : public TieringPolicy {
   void RecomputeHotThreshold();
   void MaybeTrackSplit(Vma& vma, PageInfo& unit, uint64_t vpn);
 
-  MemtisConfig config_;
+  bool enable_splitting_;
   Machine* machine_ = nullptr;
 
   // Histogram over unit counter values, weighted by base pages per unit.

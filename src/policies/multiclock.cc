@@ -4,8 +4,12 @@
 
 namespace chronotier {
 
-MultiClockPolicy::MultiClockPolicy(MultiClockConfig config)
-    : ScanPolicyBase(config.geometry), config_(config) {}
+namespace {
+constexpr uint32_t kNumLevels = 8;
+constexpr uint32_t kPromoteLevel = 6;     // Slow pages at or above this level are promoted.
+constexpr uint32_t kDemoteLevel = 0;      // Fast pages at this level are demotion targets.
+constexpr uint64_t kPromoteBatch = 4096;  // Max units promoted per scan tick.
+}  // namespace
 
 void MultiClockPolicy::ScanVisit(Process& /*process*/, Vma& /*vma*/, PageInfo& unit,
                                  SimTime now) {
@@ -16,19 +20,19 @@ void MultiClockPolicy::ScanVisit(Process& /*process*/, Vma& /*vma*/, PageInfo& u
   uint32_t level = unit.policy_word;
   if (unit.accessed()) {
     unit.ClearFlag(kPageAccessed);
-    level = std::min(level + 1, config_.num_levels - 1);
+    level = std::min(level + 1, kNumLevels - 1);
   } else if (level > 0) {
     --level;
   }
   unit.policy_word = level;
 
-  if (unit.node != kFastNode && level >= config_.promote_level &&
+  if (unit.node != kFastNode && level >= kPromoteLevel &&
       !unit.Has(kPageQueued)) {
     unit.Set(kPageQueued);
     promote_batch_.push_back(&unit);
     EmitTrace(machine()->tracer(), TraceCategory::kPolicy, TraceEventType::kPolicyEnqueue,
               now, unit.owner, unit.vpn, unit.node, kFastNode, level);
-  } else if (unit.node == kFastNode && level <= config_.demote_level &&
+  } else if (unit.node == kFastNode && level <= kDemoteLevel &&
              !unit.Has(kPageQueued)) {
     unit.Set(kPageQueued);
     demote_batch_.push_back(&unit);
@@ -43,7 +47,7 @@ void MultiClockPolicy::AfterScanTick(Process& /*process*/, SimTime now,
   uint64_t promoted = 0;
   for (PageInfo* unit : promote_batch_) {
     unit->ClearFlag(kPageQueued);
-    if (promoted >= config_.promote_batch) {
+    if (promoted >= kPromoteBatch) {
       continue;
     }
     Vma* vma = machine()->ResolveVma(*unit);
@@ -70,7 +74,7 @@ void MultiClockPolicy::AfterScanTick(Process& /*process*/, SimTime now,
       continue;
     }
     Vma* vma = machine()->ResolveVma(*unit);
-    if (vma != nullptr && unit->node == kFastNode && unit->policy_word <= config_.demote_level) {
+    if (vma != nullptr && unit->node == kFastNode && unit->policy_word <= kDemoteLevel) {
       EmitTrace(machine()->tracer(), TraceCategory::kPolicy, TraceEventType::kPolicyDemote,
                 now, unit->owner, unit->vpn, kFastNode, kSlowNode, unit->policy_word);
       machine()->DemoteUnit(*vma, *unit);

@@ -1,11 +1,13 @@
 // Multi-Clock (Maruf et al., HPCA '22).
 //
 // Hotness comes purely from hardware accessed bits: a periodic clock hand reads and clears
-// PTE accessed bits and moves each page up or down a small ladder of LRU levels. Pages that
-// climb to the top level in the slow tier are promoted; fast-tier pages stuck at level 0 are
-// demoted when space is needed. No PTEs are poisoned, so the scheme takes no hint faults
-// (lowest context-switch rate in Fig. 8) but can only distinguish "accessed at least once
-// per lap" from "not accessed" (~1 access/min resolution, Table 1).
+// PTE accessed bits and moves each page up or down a small ladder of LRU levels. Pages
+// that climb to the top level in the slow tier are promoted. Fast-tier pages stuck at
+// level 0 are demoted by the policy's own scan tick while the fast tier's free pages sit
+// below its high watermark; the machine's shared watermark reclaim runs under this policy
+// as well. No PTEs are poisoned, so the scheme takes no hint faults (lowest context-switch
+// rate in Fig. 8) but can only distinguish "accessed at least once per lap" from "not
+// accessed" (~1 access/min resolution, Table 1).
 
 #pragma once
 
@@ -15,17 +17,9 @@
 
 namespace chronotier {
 
-struct MultiClockConfig {
-  ScanGeometry geometry;
-  uint32_t num_levels = 8;
-  uint32_t promote_level = 6;   // Slow pages at or above this level are promoted.
-  uint32_t demote_level = 0;    // Fast pages at this level are demotion candidates.
-  uint64_t promote_batch = 4096;  // Max units promoted per scan tick.
-};
-
 class MultiClockPolicy : public ScanPolicyBase {
  public:
-  explicit MultiClockPolicy(MultiClockConfig config = {});
+  explicit MultiClockPolicy(ScanGeometry geometry = {}) : ScanPolicyBase(geometry) {}
 
   std::string_view name() const override { return "Multi-Clock"; }
 
@@ -37,7 +31,6 @@ class MultiClockPolicy : public ScanPolicyBase {
   void AfterScanTick(Process& process, SimTime now, bool lap_wrapped) override;
 
  private:
-  MultiClockConfig config_;
   std::vector<PageInfo*> promote_batch_;
   std::vector<PageInfo*> demote_batch_;
 };

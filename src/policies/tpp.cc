@@ -5,13 +5,14 @@
 namespace chronotier {
 
 namespace {
+// Extra free-page headroom (fraction of fast-tier capacity) maintained by demotion.
+constexpr double kDemotionHeadroomFraction = 0.02;
+
 uint32_t ToMillis(SimTime t) {
   const int64_t ms = t / kMillisecond;
   return static_cast<uint32_t>(std::min<int64_t>(ms, 0xFFFFFFFEll));
 }
 }  // namespace
-
-TppPolicy::TppPolicy(TppConfig config) : ScanPolicyBase(config.geometry), config_(config) {}
 
 void TppPolicy::ScanVisit(Process& /*process*/, Vma& /*vma*/, PageInfo& unit,
                           SimTime /*now*/) {
@@ -24,7 +25,8 @@ SimDuration TppPolicy::OnHintFault(Process& /*process*/, Vma& vma, PageInfo& uni
   if (unit.node != kFastNode) {
     const uint32_t last_fault_ms = unit.policy_word;
     const uint32_t now_ms = ToMillis(now);
-    const auto window_ms = static_cast<uint32_t>(config_.recency_window / kMillisecond);
+    // A second fault within one scan period marks the page hot (active) and promotes it.
+    const auto window_ms = static_cast<uint32_t>(geometry().scan_period / kMillisecond);
     const bool recently_faulted =
         last_fault_ms != 0 && now_ms >= last_fault_ms && now_ms - last_fault_ms <= window_ms;
     if (recently_faulted) {
@@ -47,7 +49,7 @@ SimDuration TppPolicy::OnHintFault(Process& /*process*/, Vma& vma, PageInfo& uni
 
 uint64_t TppPolicy::DemotionRefillTarget(const MemoryTier& fast_tier) const {
   const auto headroom = static_cast<uint64_t>(
-      static_cast<double>(fast_tier.capacity_pages()) * config_.demotion_headroom_fraction);
+      static_cast<double>(fast_tier.capacity_pages()) * kDemotionHeadroomFraction);
   return fast_tier.watermarks().high + headroom;
 }
 

@@ -1,7 +1,7 @@
 // TPP: Transparent Page Placement (Maruf et al., ASPLOS '23).
 //
 // TPP combines the NUMA-balancing fault channel with LRU access recency: a slow-tier page is
-// promoted only when it faults *again* within a recency window (the model's rendering of
+// promoted only when it faults *again* within one scan period (the model's rendering of
 // "promote only pages on the active list"), filtering out one-off touches. It also keeps
 // allocation headroom in the fast tier by demoting proactively to a raised watermark.
 // Effective resolution remains fault-per-scan-lap bound (~2 accesses/min, Table 1).
@@ -12,20 +12,13 @@
 
 namespace chronotier {
 
-struct TppConfig {
-  ScanGeometry geometry;
-  // A second fault within this window marks the page hot (active) and promotes it.
-  SimDuration recency_window = 60 * kSecond;
-  // Extra free-page headroom (fraction of fast-tier capacity) maintained by demotion.
-  double demotion_headroom_fraction = 0.02;
-};
-
 class TppPolicy : public ScanPolicyBase {
  public:
-  explicit TppPolicy(TppConfig config = {});
+  explicit TppPolicy(ScanGeometry geometry = {}) : ScanPolicyBase(geometry) {}
 
   std::string_view name() const override { return "TPP"; }
 
+  // policy_word holds the last hint-fault time in milliseconds (saturating 32-bit).
   SimDuration OnHintFault(Process& process, Vma& vma, PageInfo& unit, bool is_store,
                           SimTime now) override;
 
@@ -33,10 +26,6 @@ class TppPolicy : public ScanPolicyBase {
 
  protected:
   void ScanVisit(Process& process, Vma& vma, PageInfo& unit, SimTime now) override;
-
- private:
-  // policy_word holds the last hint-fault time in milliseconds (saturating 32-bit).
-  TppConfig config_;
 };
 
 }  // namespace chronotier

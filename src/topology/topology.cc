@@ -268,37 +268,14 @@ std::vector<NodeId> Topology::Route(NodeId a, NodeId b) const {
   return down;
 }
 
-std::vector<NodeId> Topology::RouteAvoiding(NodeId a, NodeId b,
-                                            const std::vector<LinkHealth>& links) const {
-  if (a == b) return {a};
-  const auto edge_up = [&](NodeId x, NodeId y) {
-    const int e = EdgeIndex(x, y);
-    return e >= 0 && links[static_cast<size_t>(e)] != LinkHealth::kDown;
-  };
-  if (edge_up(a, b)) return {a, b};
-  // Deterministic BFS over surviving edges. Fabrics are small (kMaxNodes-bounded) and this
-  // only runs while a link is actually down, so the O(n^2) neighbor scan is fine.
-  const int n = num_nodes();
-  std::vector<NodeId> prev(static_cast<size_t>(n), kInvalidNode);
-  std::vector<NodeId> frontier{a};
-  prev[static_cast<size_t>(a)] = a;
-  while (!frontier.empty() && prev[static_cast<size_t>(b)] == kInvalidNode) {
-    std::vector<NodeId> next;
-    for (NodeId x : frontier) {
-      for (NodeId y = 0; y < n; ++y) {
-        if (prev[static_cast<size_t>(y)] != kInvalidNode || !edge_up(x, y)) continue;
-        prev[static_cast<size_t>(y)] = x;
-        next.push_back(y);
-      }
+bool Topology::PathIsUp(const std::vector<NodeId>& path,
+                        const std::vector<LinkHealth>& links) const {
+  for (size_t i = 0; i + 1 < path.size(); ++i) {
+    if (links[static_cast<size_t>(EdgeIndex(path[i], path[i + 1]))] == LinkHealth::kDown) {
+      return false;
     }
-    frontier = std::move(next);
   }
-  if (prev[static_cast<size_t>(b)] == kInvalidNode) return {};  // Partitioned.
-  std::vector<NodeId> path;
-  for (NodeId x = b; x != a; x = prev[static_cast<size_t>(x)]) path.push_back(x);
-  path.push_back(a);
-  std::reverse(path.begin(), path.end());
-  return path;
+  return true;
 }
 
 std::string Topology::ToString() const {

@@ -101,12 +101,11 @@ class Topology {
   int HopDistance(NodeId a, NodeId b) const;
   // Inclusive node path a -> ... -> b (through the tree LCA); {a, b} when adjacent.
   std::vector<NodeId> Route(NodeId a, NodeId b) const;
-  // Route over surviving links only: shortest path avoiding every edge whose LinkHealth is
-  // kDown, by deterministic BFS (neighbors visited in node-id order, so ties break toward
-  // lower ids). Returns the empty vector when the fault partitions a from b. With no links
-  // down this equals Route().
-  std::vector<NodeId> RouteAvoiding(NodeId a, NodeId b,
-                                    const std::vector<LinkHealth>& links) const;
+  // Whether no link along `path` (a Route()) is kDown; a degraded link still carries
+  // traffic. Every edge is a child-parent link, so Route() is the only path between two
+  // nodes: when this is false the pair is partitioned, and there is no detour to take.
+  bool PathIsUp(const std::vector<NodeId>& path,
+                const std::vector<LinkHealth>& links) const;
 
   // Extra access latency for a node behind more than one link: (depth - 1) * hop_latency.
   SimDuration HopPenalty(NodeId node) const {

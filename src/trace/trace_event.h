@@ -100,8 +100,8 @@ enum class TraceEventType : uint16_t {
   kMigrationCommit,     // b = pages; ts = commit time.
   kMigrationAbort,      // Final abort after retries: b = attempts used.
   kMigrationPark,       // Stayed at source after a fault or failed link: b = attempts used.
-  kMigrationReroute,    // Pass crossed a link that went down and is re-booked over the
-                        // surviving fabric: b = that re-route's number (from 1).
+  kMigrationReroute,    // Pass crossed a link that went down and is re-booked on its tree
+                        // path: b = that re-route's number (from 1).
   kTenantQosVerdict,    // Tenant QoS consult: a = tenant id, b = refusal reason enum
                         // (0 = admitted); from/to = tier pair, pid = submitting owner.
 

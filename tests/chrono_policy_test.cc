@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "src/core/chrono_policy.h"
@@ -17,7 +18,6 @@ ChronoConfig TestChronoConfig() {
   ChronoConfig config = ChronoConfig::Full();
   config.geometry.scan_period = 2 * kSecond;
   config.geometry.scan_step_pages = 512;
-  config.dcsc_period = 500 * kMillisecond;
   config.min_victims_per_process = 32;
   return config;
 }
@@ -119,7 +119,9 @@ TEST(ChronoPolicyTest, DcscConvergesThresholdDownward) {
 
 TEST(ChronoPolicyTest, PlacesHotSetBetterThanCapacityBaseline) {
   ChronoRig rig = MakeRig();
-  rig.machine->Run(30 * kSecond);
+  // 60 DCSC ticks at the 1 s period: DCSC needs about 50 s to bring the CIT threshold down
+  // from its 1 s start in this rig.
+  rig.machine->Run(60 * kSecond);
   // Hot pages should dominate the fast tier well beyond their 20% share of memory (random
   // placement would give 0.2; all-hot-in-fast gives hot/fast-capacity = 0.4).
   const uint64_t hot_lo = rig.stream->region_start_vpn() + rig.stream->current_hot_base();
@@ -149,13 +151,22 @@ TEST(ChronoPolicyTest, SemiAutoAdjustsThresholdWithoutDcsc) {
 }
 
 TEST(ChronoPolicyTest, SemiAutoKeepsUserRateLimit) {
+  // The semi-auto controller tunes only the CIT threshold; the one thing that moves the
+  // user's rate limit is thrash halving (clamped at the floor). So every reading is
+  // 48 / 2^k for some k >= 0, or the floor.
   ChronoConfig config = TestChronoConfig();
   config.tuning = ChronoTuningMode::kSemiAuto;
   config.initial_rate_limit_mbps = 48.0;
-  config.thrash_ratio_threshold = 1e9;  // Disable thrash halving for this test.
   ChronoRig rig = MakeRig(config);
-  rig.machine->Run(10 * kSecond);
-  EXPECT_DOUBLE_EQ(rig.chrono->rate_limit_mbps(), 48.0);
+  for (int second = 0; second < 10; ++second) {
+    rig.machine->Run(kSecond);
+    const double rate = rig.chrono->rate_limit_mbps();
+    double halved = 48.0;
+    while (halved > rate && halved > ChronoConfig::kMinRateLimitMbps) {
+      halved = std::max(halved / 2.0, ChronoConfig::kMinRateLimitMbps);
+    }
+    EXPECT_DOUBLE_EQ(rate, halved) << "after " << second + 1 << " s";
+  }
 }
 
 TEST(ChronoPolicyTest, ThrashHalvesRateLimit) {
@@ -198,6 +209,23 @@ TEST(ChronoPolicyTest, CandidateSetMemoryStaysSmall) {
   rig.machine->Run(10 * kSecond);
   // Paper Section 4: < 32 KB per active process across its lifetime.
   EXPECT_LT(rig.chrono->candidate_filter().MemoryUsageBytes(), 64u * 1024);
+}
+
+TEST(ChronoPolicyTest, TunedValuesStayWithinBounds) {
+  // DCSC moves both the CIT threshold and the rate limit; thrash halving moves the rate
+  // limit. Neither leaves the ChronoConfig bounds.
+  ChronoConfig config = TestChronoConfig();
+  config.initial_rate_limit_mbps = 2048.0;
+  ChronoRig rig = MakeRig(config);
+  for (int second = 0; second < 20; ++second) {
+    rig.machine->Run(kSecond);
+    EXPECT_GE(rig.chrono->cit_threshold_ms(),
+              static_cast<uint32_t>(ChronoConfig::kMinCitThreshold / kMillisecond));
+    EXPECT_LE(rig.chrono->cit_threshold_ms(),
+              static_cast<uint32_t>(ChronoConfig::kMaxCitThreshold / kMillisecond));
+    EXPECT_GE(rig.chrono->rate_limit_mbps(), ChronoConfig::kMinRateLimitMbps);
+    EXPECT_LE(rig.chrono->rate_limit_mbps(), ChronoConfig::kMaxRateLimitMbps);
+  }
 }
 
 TEST(ChronoPolicyTest, DcscVictimsAreProbedAndReleased) {

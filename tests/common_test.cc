@@ -284,15 +284,20 @@ TEST(Log2HistogramTest, OverflowClampsToLastBucket) {
   EXPECT_EQ(hist.bucket_count(3), 1u);
 }
 
-TEST(Log2HistogramTest, TransferValue) {
+TEST(Log2HistogramTest, TransferValues) {
   Log2Histogram hist(28);
-  hist.Add(4);
-  hist.TransferValue(4, 5);  // Same bucket: no-op.
+  hist.Add(4, 3);
+  hist.TransferValues(4, 5, 2);  // Same bucket: no-op.
+  EXPECT_EQ(hist.bucket_count(3), 3u);
+  hist.TransferValues(5, 8, 2);  // Bucket 3 -> 4.
   EXPECT_EQ(hist.bucket_count(3), 1u);
-  hist.TransferValue(5, 8);  // Bucket 3 -> 4.
-  EXPECT_EQ(hist.bucket_count(3), 0u);
-  EXPECT_EQ(hist.bucket_count(4), 1u);
-  EXPECT_EQ(hist.total(), 1u);
+  EXPECT_EQ(hist.bucket_count(4), 2u);
+  EXPECT_EQ(hist.total(), 3u);
+  // More than the source bucket holds: moves only what is there.
+  hist.TransferValues(8, 16, 5);  // Bucket 4 -> 5.
+  EXPECT_EQ(hist.bucket_count(4), 0u);
+  EXPECT_EQ(hist.bucket_count(5), 2u);
+  EXPECT_EQ(hist.total(), 3u);
 }
 
 TEST(Log2HistogramTest, ShiftDownOneMatchesHalving) {
@@ -324,29 +329,14 @@ TEST(Log2HistogramTest, QuantileInterpolates) {
   EXPECT_LE(median, 128.0);
 }
 
-TEST(Log2HistogramTest, CumulativeAndMerge) {
-  Log2Histogram a(8);
-  Log2Histogram b(8);
-  a.Add(1);
-  a.Add(2);
-  b.Add(2);
-  b.Add(100);
-  a.Merge(b);
-  EXPECT_EQ(a.total(), 4u);
-  EXPECT_EQ(a.CumulativeCount(2), 3u);
-  EXPECT_EQ(a.BucketForCumulativeCount(4), 7);
-}
-
-TEST(LinearHistogramTest, Basics) {
-  LinearHistogram hist(0.0, 10.0, 10);
-  hist.Add(0.5);
-  hist.Add(9.99);
-  hist.Add(-5.0);   // Clamps to first bucket.
-  hist.Add(100.0);  // Clamps to last bucket.
-  EXPECT_EQ(hist.bucket_count(0), 2u);
-  EXPECT_EQ(hist.bucket_count(9), 2u);
+TEST(Log2HistogramTest, CumulativeCount) {
+  Log2Histogram hist(8);
+  hist.Add(1);
+  hist.Add(2, 2);
+  hist.Add(100);
   EXPECT_EQ(hist.total(), 4u);
-  EXPECT_DOUBLE_EQ(hist.bucket_center(0), 0.5);
+  EXPECT_EQ(hist.CumulativeCount(2), 3u);
+  EXPECT_EQ(hist.CumulativeCount(100), 4u);  // Past the last bucket: clamps.
 }
 
 // --- stats ---

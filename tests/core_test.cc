@@ -375,10 +375,12 @@ TEST(ChronoConfigTest, PaperDefaults) {
   EXPECT_EQ(config.geometry.scan_period, 60 * kSecond);
   EXPECT_EQ(config.geometry.scan_step_pages * kBasePageSize, 256ull * 1024 * 1024);
   EXPECT_DOUBLE_EQ(config.p_victim, 0.00003);
-  EXPECT_EQ(config.b_buckets, 28);
+  EXPECT_EQ(ChronoConfig::kBBuckets, 28);
   EXPECT_DOUBLE_EQ(config.delta_step, 0.5);
-  EXPECT_EQ(config.initial_cit_threshold, 1000 * kMillisecond);
+  EXPECT_EQ(ChronoConfig::kInitialCitThreshold, 1000 * kMillisecond);
   EXPECT_DOUBLE_EQ(config.initial_rate_limit_mbps, 100.0);
+  // Section 4: 2^27 ms caps the CIT threshold.
+  EXPECT_EQ(ChronoConfig::kMaxCitThreshold, (1ll << 27) * kMillisecond);
 }
 
 TEST(ChronoConfigTest, PagesPerSecondConversion) {

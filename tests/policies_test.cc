@@ -89,10 +89,8 @@ TEST(LinuxNbTest, PromotionIsUnselective) {
 }
 
 TEST(AutoTieringTest, LapVectorGatesPromotion) {
-  AutoTieringConfig config;
-  config.geometry = TestGeometry();
-  config.promote_lap_popcount = 2;
-  TestRig rig = MakeRig(std::make_unique<AutoTieringPolicy>(config), PageSizeKind::kBase);
+  TestRig rig = MakeRig(std::make_unique<AutoTieringPolicy>(TestGeometry()),
+                        PageSizeKind::kBase);
   // One lap cannot promote (needs 2 LAP bits); two+ laps can.
   rig.machine->Run(2500 * kMillisecond);
   const uint64_t early = rig.machine->metrics().promoted_pages();
@@ -102,7 +100,7 @@ TEST(AutoTieringTest, LapVectorGatesPromotion) {
 }
 
 TEST(MultiClockTest, NoHintFaults) {
-  TestRig rig = MakeRig(std::make_unique<MultiClockPolicy>(MultiClockConfig{TestGeometry()}),
+  TestRig rig = MakeRig(std::make_unique<MultiClockPolicy>(TestGeometry()),
                         PageSizeKind::kBase);
   rig.machine->Run(15 * kSecond);
   EXPECT_EQ(rig.machine->metrics().hint_faults(), 0u);  // Accessed bits only.
@@ -110,12 +108,10 @@ TEST(MultiClockTest, NoHintFaults) {
 }
 
 TEST(MultiClockTest, LevelsClimbOnlyForAccessedPages) {
-  MultiClockConfig config;
-  config.geometry = TestGeometry();
   // hot_access_fraction = 1.0: cold pages are never touched after init, so their accessed
   // bits stay clear and their levels must decay while hot levels saturate.
-  TestRig rig = MakeRig(std::make_unique<MultiClockPolicy>(config), PageSizeKind::kBase,
-                        kMicrosecond, /*hot_access_fraction=*/1.0);
+  TestRig rig = MakeRig(std::make_unique<MultiClockPolicy>(TestGeometry()),
+                        PageSizeKind::kBase, kMicrosecond, /*hot_access_fraction=*/1.0);
   rig.machine->Run(15 * kSecond);
   // Hot pages should sit at higher clock levels than never-touched-again cold pages.
   uint64_t hot_levels = 0;
@@ -143,10 +139,8 @@ TEST(MultiClockTest, LevelsClimbOnlyForAccessedPages) {
 }
 
 TEST(TppTest, RequiresSecondFaultWithinWindow) {
-  TppConfig config;
-  config.geometry = TestGeometry();
-  config.recency_window = 4 * kSecond;
-  TestRig rig = MakeRig(std::make_unique<TppPolicy>(config), PageSizeKind::kBase);
+  // The recency window is the scan period: 2 s under the test geometry.
+  TestRig rig = MakeRig(std::make_unique<TppPolicy>(TestGeometry()), PageSizeKind::kBase);
   // During the first scan lap every page faults once -> no promotion yet.
   rig.machine->Run(2200 * kMillisecond);
   const uint64_t after_one_lap = rig.machine->metrics().promoted_pages();
@@ -155,20 +149,15 @@ TEST(TppTest, RequiresSecondFaultWithinWindow) {
 }
 
 TEST(TppTest, KeepsAllocationHeadroom) {
-  TppConfig config;
-  config.geometry = TestGeometry();
-  config.demotion_headroom_fraction = 0.05;
-  TestRig rig = MakeRig(std::make_unique<TppPolicy>(config), PageSizeKind::kBase);
+  TestRig rig = MakeRig(std::make_unique<TppPolicy>(TestGeometry()), PageSizeKind::kBase);
   rig.machine->Run(20 * kSecond);
   const MemoryTier& fast = rig.machine->memory().node(kFastNode);
-  // Free pages should hover around high watermark + 5% headroom, not at the min.
+  // Free pages should hover around high watermark + 2% headroom, not at the min.
   EXPECT_GT(fast.free_pages(), fast.watermarks().high);
 }
 
 TEST(MemtisTest, SamplesDriveCountersAndHistogram) {
-  MemtisConfig config;
-  config.page_size = PageSizeKind::kHuge;
-  TestRig rig = MakeRig(std::make_unique<MemtisPolicy>(config), PageSizeKind::kHuge);
+  TestRig rig = MakeRig(std::make_unique<MemtisPolicy>(), PageSizeKind::kHuge);
   rig.machine->Run(10 * kSecond);
   EXPECT_GT(rig.machine->pebs().samples_delivered(), 0u);
   // Some unit accumulated a counter.
@@ -181,8 +170,7 @@ TEST(MemtisTest, SamplesDriveCountersAndHistogram) {
 }
 
 TEST(MemtisTest, HugePagePreferenceAndBloat) {
-  MemtisConfig config;
-  TestRig rig = MakeRig(std::make_unique<MemtisPolicy>(config), PageSizeKind::kHuge);
+  TestRig rig = MakeRig(std::make_unique<MemtisPolicy>(), PageSizeKind::kHuge);
   // Huge-page demand paging materializes whole 2MB units: resident >= touched.
   rig.machine->Run(3 * kSecond);
   const uint64_t resident = rig.process->resident_pages(kFastNode) +
@@ -192,10 +180,8 @@ TEST(MemtisTest, HugePagePreferenceAndBloat) {
 }
 
 TEST(MemtisTest, CoolingHalvesCounters) {
-  MemtisConfig config;
-  config.cooling_period = 2 * kSecond;
-  TestRig rig = MakeRig(std::make_unique<MemtisPolicy>(config), PageSizeKind::kHuge);
-  rig.machine->Run(1900 * kMillisecond);
+  TestRig rig = MakeRig(std::make_unique<MemtisPolicy>(), PageSizeKind::kHuge);
+  rig.machine->Run(MemtisPolicy::kCoolingPeriod - 100 * kMillisecond);
   uint64_t before = 0;
   rig.process->aspace().ForEachPage([&](Vma& vma, PageInfo& page) {
     before = std::max<uint64_t>(before, vma.HotnessUnit(page.vpn).policy_word);
@@ -203,7 +189,7 @@ TEST(MemtisTest, CoolingHalvesCounters) {
   ASSERT_GT(before, 4u);
   // Freeze the workload (stream keeps running, but cooling halves dominate growth only if
   // we compare immediately after the cooling tick).
-  rig.machine->Run(200 * kMillisecond);  // Crosses the t=2s cooling tick.
+  rig.machine->Run(200 * kMillisecond);  // Crosses the first cooling tick (t = 10 s).
   uint64_t after = 0;
   rig.process->aspace().ForEachPage([&](Vma& vma, PageInfo& page) {
     after = std::max<uint64_t>(after, vma.HotnessUnit(page.vpn).policy_word);
@@ -212,12 +198,8 @@ TEST(MemtisTest, CoolingHalvesCounters) {
 }
 
 TEST(MemtisTest, SplitsHotButSparseHugeUnits) {
-  MemtisConfig config;
-  config.enable_splitting = true;
-  config.split_min_samples = 16;
-  config.split_max_distinct_subpages = 4;
   MachineConfig machine_config = MachineConfig::StandardTwoTier(8192, 0.25);
-  Machine machine(machine_config, std::make_unique<MemtisPolicy>(config));
+  Machine machine(machine_config, std::make_unique<MemtisPolicy>());
   Process& process = machine.CreateProcess("sparse");
   process.set_default_page_kind(PageSizeKind::kHuge);
   // Touch only the first base page of each huge unit: hot but extremely sparse.
@@ -228,6 +210,8 @@ TEST(MemtisTest, SplitsHotButSparseHugeUnits) {
   w.per_op_delay = 200 * kNanosecond;
   machine.AttachWorkload(process, std::make_unique<HotsetStream>(w), 13);
   machine.Start();
+  // Thousands of samples per hot unit, far past kSplitMinSamples (64), before the first
+  // cooling tick (t = 10 s) clears the split candidates.
   machine.Run(10 * kSecond);
 
   // At least one group must have been split (hot counter + <=4 distinct subpage slots).

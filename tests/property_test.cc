@@ -5,9 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <tuple>
 
-#include "src/core/controls.h"
 #include "src/core/standard_policies.h"
 #include "src/harness/machine.h"
 #include "src/workloads/patterns.h"
@@ -160,61 +160,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PageSizeKind::kBase, PageSizeKind::kHuge),
                        ::testing::Values(11u, 77u)),
     PropertyParamName);
-
-// --- runtime controls (procfs analogue) ---
-
-TEST(ChronoControlsTest, SetAndShow) {
-  ChronoConfig config = ChronoConfig::Manual(64.0);
-  config.geometry = PropertyGeometry();
-  ChronoPolicy policy(config);
-  ChronoControls controls(&policy);
-
-  EXPECT_TRUE(controls.Set("cit_threshold_ms=250"));
-  EXPECT_EQ(policy.cit_threshold_ms(), 250u);
-
-  const std::string shown = controls.Show();
-  EXPECT_NE(shown.find("cit_threshold_ms=250"), std::string::npos);
-  EXPECT_NE(shown.find("rate_limit_mbps="), std::string::npos);
-}
-
-TEST(ChronoControlsTest, RateLimitClampsToBounds) {
-  ChronoConfig config = ChronoConfig::Manual(64.0);
-  ChronoPolicy policy(config);
-  ChronoControls controls(&policy);
-  EXPECT_TRUE(controls.Set("rate_limit_mbps=999999"));
-  EXPECT_LE(policy.rate_limit_mbps(), config.max_rate_limit_mbps);
-  EXPECT_TRUE(controls.Set("rate_limit_mbps=0.001"));
-  EXPECT_GE(policy.rate_limit_mbps(), config.min_rate_limit_mbps);
-}
-
-TEST(ChronoControlsTest, RejectsMalformedInput) {
-  ChronoPolicy policy(ChronoConfig::Full());
-  ChronoControls controls(&policy);
-  EXPECT_FALSE(controls.Set("cit_threshold_ms"));       // No '='.
-  EXPECT_FALSE(controls.Set("cit_threshold_ms=abc"));   // Not a number.
-  EXPECT_FALSE(controls.Set("rate_limit_mbps=-5"));     // Non-positive.
-  EXPECT_FALSE(controls.Set("unknown_param=1"));        // Unknown name.
-  EXPECT_FALSE(controls.Set("cit_threshold_ms=12x"));   // Trailing junk.
-}
-
-TEST(ChronoControlsTest, SetAllCountsSuccesses) {
-  ChronoPolicy policy(ChronoConfig::Full());
-  ChronoControls controls(&policy);
-  EXPECT_EQ(controls.SetAll({"cit_threshold_ms=100", "bogus=1", "rate_limit_mbps=32"}), 2);
-  EXPECT_EQ(policy.cit_threshold_ms(), 100u);
-  EXPECT_DOUBLE_EQ(policy.rate_limit_mbps(), 32.0);
-}
-
-TEST(ChronoControlsTest, ThresholdOverrideClampsToConfiguredBounds) {
-  ChronoConfig config = ChronoConfig::Full();
-  ChronoPolicy policy(config);
-  policy.OverrideCitThreshold(0);
-  EXPECT_GE(policy.cit_threshold_ms(),
-            static_cast<uint32_t>(config.min_cit_threshold / kMillisecond));
-  policy.OverrideCitThreshold(0xFFFFFFFFu);
-  EXPECT_LE(policy.cit_threshold_ms(),
-            static_cast<uint32_t>(config.max_cit_threshold / kMillisecond));
-}
 
 }  // namespace
 }  // namespace chronotier

@@ -165,7 +165,8 @@ TEST(TopologyRouteTest, HopDistanceAndRoutes) {
 // link cuts it.
 std::vector<NodeId> SurvivingRoute(const Topology& topo, NodeId a, NodeId b,
                                    const std::vector<LinkHealth>& links) {
-  return topo.RouteAvoiding(a, b, links);
+  std::vector<NodeId> route = topo.Route(a, b);
+  return topo.PathIsUp(route, links) ? route : std::vector<NodeId>{};
 }
 
 // Every edge is a child-parent link, so two nodes have exactly one path: a down link on it
@@ -274,10 +275,10 @@ TEST(TopologyMachineTest, EndpointAwarePolicyPromotesOnDeepFabric) {
   const ExperimentResult result = Experiment::Run(
       config,
       [] {
-        EndpointAwareConfig ea;
-        ea.geometry.scan_period = 2 * kSecond;
-        ea.geometry.scan_step_pages = 2048;
-        return std::make_unique<EndpointAwarePolicy>(ea);
+        ScanGeometry geometry;
+        geometry.scan_period = 2 * kSecond;
+        geometry.scan_step_pages = 2048;
+        return std::make_unique<EndpointAwarePolicy>(geometry);
       },
       {proc});
   EXPECT_EQ(result.policy_name, "endpoint_aware_hotness");
