@@ -332,7 +332,6 @@ inline ProcessSpec BenchPmbenchProc(uint64_t working_set_mb, double read_ratio,
   PmbenchConfig w;
   w.working_set_bytes = working_set_mb << 20;
   w.read_ratio = read_ratio;
-  w.pattern = PmbenchPattern::kGaussian;
   w.stride = 2;
   w.per_op_delay = per_op_delay;
   w.sequential_init = true;

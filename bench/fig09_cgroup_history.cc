@@ -77,13 +77,13 @@ int main(int argc, char** argv) {
     tenant.access_delay = static_cast<ct::SimDuration>(i) * 600 * ct::kNanosecond;
     row.config.tenants.push_back(tenant);
 
-    ct::UniformConfig w;  // Paper: random access pattern per cgroup.
+    ct::SegmentedConfig w;  // Paper: random access pattern per cgroup.
     w.working_set_bytes = 24ull << 20;
     w.read_ratio = 0.95;
     w.per_op_delay = 2 * ct::kMicrosecond;
     w.sequential_init = true;
     ct::ProcessSpec spec{"cgroup-" + std::to_string(i),
-                         [w] { return std::make_unique<ct::UniformStream>(w); }};
+                         [w] { return std::make_unique<ct::SegmentedStream>(w); }};
     spec.tenant = i;
     row.processes.push_back(spec);
   }

@@ -186,7 +186,6 @@ BENCHMARK(BM_ZipfTableBuild)->Arg(192)->Unit(benchmark::kMicrosecond);
 void BM_PmbenchFill(benchmark::State& state) {
   ct::PmbenchConfig config;
   config.working_set_bytes = 96ull << 20;
-  config.pattern = ct::PmbenchPattern::kGaussian;
   config.stride = 2;
   ct::PmbenchStream stream(config);
   ct::Process process(0, "pmbench");
@@ -323,11 +322,11 @@ void BM_AuditNow(benchmark::State& state) {
   config.audit_period = 0;  // Only the timed audits below.
   ct::Machine machine(config, ct::StandardPolicySet().front().make());
   ct::Process& process = machine.CreateProcess("fill");
-  ct::UniformConfig fill;
+  ct::SegmentedConfig fill;
   fill.working_set_bytes = kMachinePages / 8 * 7 * ct::kBasePageSize;
   fill.sequential_init = true;
   fill.op_limit = 1;  // The pre-touch, then one random op: the stream ends.
-  machine.AttachWorkload(process, std::make_unique<ct::UniformStream>(fill), 1);
+  machine.AttachWorkload(process, std::make_unique<ct::SegmentedStream>(fill), 1);
   machine.Start();
   machine.RunToCompletion(ct::kMinute);
   uint64_t units = 0;

@@ -33,13 +33,13 @@ int main() {
   constexpr int kTenants = 4;
   for (int i = 0; i < kTenants; ++i) {
     ct::Process& process = machine.CreateProcess("tenant-" + std::to_string(i));
-    ct::UniformConfig workload;
+    ct::SegmentedConfig workload;
     workload.working_set_bytes = 24ull << 20;
     workload.per_op_delay = 700 * ct::kNanosecond;
     workload.sequential_init = true;
     process.set_access_delay(static_cast<ct::SimDuration>(1) * ct::kMicrosecond *
                              (i == 0 ? 0 : 1 << (2 * i - 1)));
-    machine.AttachWorkload(process, std::make_unique<ct::UniformStream>(workload),
+    machine.AttachWorkload(process, std::make_unique<ct::SegmentedStream>(workload),
                            /*seed=*/100 + i);
   }
   machine.Start();

@@ -104,7 +104,6 @@ struct ExperimentResult {
   double migration_mean_attempts = 0;          // Copy passes per committed transaction.
   double copy_bandwidth_utilization = 0;       // Channel busy fraction over the window.
 
-  // Fault-injection / degradation counters over the measured window.
   // Topology / congestion counters over the measured window (all 0 on machines without a
   // parsed topology).
   uint64_t congested_accesses = 0;      // Accesses charged a nonzero link-queueing delay.
@@ -112,6 +111,7 @@ struct ExperimentResult {
   uint64_t multi_hop_copies = 0;        // Routed copy passes (no direct link).
   uint64_t multi_hop_legs = 0;          // Per-link legs those passes booked.
 
+  // Fault-injection / degradation counters over the measured window.
   uint64_t migrations_parked = 0;            // Fault terminals: page stayed at source.
   uint64_t faults_injected_transient = 0;
   uint64_t faults_injected_persistent = 0;

@@ -48,7 +48,7 @@ class KvStoreStream : public AccessStream {
   uint64_t BucketAddr(uint64_t key) const;
   uint64_t ItemAddr(uint64_t item) const;
 
-  // Emits the access sequence for one operation on `item` into the small replay buffer.
+  // Emits the access burst for one operation on `item`: bucket probe + the value's pages.
   void EmitOp(uint64_t item, bool is_set);
 
   KvStoreConfig config_;
@@ -58,12 +58,7 @@ class KvStoreStream : public AccessStream {
 
   uint64_t init_cursor_ = 0;
   uint64_t ops_issued_ = 0;
-
-  // Tiny fixed replay buffer: ops per KV op is small (bucket + value pages).
-  static constexpr int kMaxBurst = 8;
-  MemOp burst_[kMaxBurst];
-  int burst_len_ = 0;
-  int burst_pos_ = 0;
+  ValueBurst burst_;
 };
 
 }  // namespace chronotier

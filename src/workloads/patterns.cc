@@ -1,161 +1,46 @@
 #include "src/workloads/patterns.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "src/common/check.h"
 
 namespace chronotier {
 
-namespace {
-uint64_t RandomOffsetInPage(Rng& rng) { return rng.NextBelow(kBasePageSize & ~7ull); }
-}  // namespace
-
-void UniformStream::Init(Process& process, Rng& /*rng*/) {
-  const uint64_t vaddr =
-      process.aspace().MapRegion(config_.working_set_bytes, process.default_page_kind());
-  region_vpn_ = vaddr / kBasePageSize;
-  num_pages_ = std::max<uint64_t>(config_.working_set_bytes / kBasePageSize, 1);
-}
-
-bool UniformStream::Next(Rng& rng, MemOp* op) {
-  if (config_.sequential_init && init_cursor_ < num_pages_) {
-    op->vaddr = (region_vpn_ + init_cursor_++) * kBasePageSize;
-    op->is_store = true;
-    op->think_time = 0;
-    return true;
+RoundUpDivider::RoundUpDivider(uint64_t divisor, uint64_t quotients) : divisor_(divisor) {
+  if ((divisor & (divisor - 1)) == 0) {
+    while ((uint64_t{1} << shift_) < divisor) {
+      ++shift_;
+    }
+    return;
   }
-  if (config_.op_limit != 0 && ops_issued_ >= config_.op_limit) {
-    return false;
+  shift_ = -1;
+  constexpr uint64_t kProven = uint64_t{1} << 32;
+  if (divisor >= kProven || quotients > kProven / divisor) {
+    return;
   }
-  ++ops_issued_;
-  op->vaddr = (region_vpn_ + rng.NextBelow(num_pages_)) * kBasePageSize +
-              RandomOffsetInPage(rng);
-  op->is_store = !rng.NextBool(config_.read_ratio);
-  op->think_time = config_.per_op_delay;
-  return true;
-}
-
-void ZipfStream::Init(Process& process, Rng& /*rng*/) {
-  const uint64_t vaddr =
-      process.aspace().MapRegion(config_.working_set_bytes, process.default_page_kind());
-  region_vpn_ = vaddr / kBasePageSize;
-  num_pages_ = std::max<uint64_t>(config_.working_set_bytes / kBasePageSize, 1);
-  sampler_ = std::make_unique<ZipfSampler>(num_pages_, config_.skew);
-  if (config_.shuffle) {
-    // A fixed odd multiplier modulo the page count permutes ranks pseudo-randomly when the
-    // count is a power of two; otherwise fall back to a large odd co-prime-ish stride.
-    shuffle_multiplier_ = 0x9E3779B1ull | 1ull;
+  magic_ = std::numeric_limits<uint64_t>::max() / divisor + 1;
+  for (uint64_t q = 1; q < quotients; ++q) {
+    for (const uint64_t a : {q * divisor - 1, q * divisor}) {
+      CHECK_EQ((*this)(a), a / divisor) << "bad round-up reciprocal";
+    }
   }
 }
 
-uint64_t ZipfStream::VpnForRank(uint64_t rank) const {
-  const uint64_t page =
-      config_.shuffle ? (rank * shuffle_multiplier_) % num_pages_ : rank % num_pages_;
-  return region_vpn_ + page;
-}
-
-bool ZipfStream::Next(Rng& rng, MemOp* op) {
-  if (config_.sequential_init && init_cursor_ < num_pages_) {
-    op->vaddr = (region_vpn_ + init_cursor_++) * kBasePageSize;
-    op->is_store = true;
-    op->think_time = 0;
-    return true;
-  }
-  if (config_.op_limit != 0 && ops_issued_ >= config_.op_limit) {
-    return false;
-  }
-  ++ops_issued_;
-  const uint64_t rank = sampler_->Sample(rng);
-  op->vaddr = VpnForRank(rank) * kBasePageSize + RandomOffsetInPage(rng);
-  op->is_store = !rng.NextBool(config_.read_ratio);
-  op->think_time = config_.per_op_delay;
-  return true;
-}
-
-void HotsetStream::Init(Process& process, Rng& /*rng*/) {
-  const uint64_t vaddr =
-      process.aspace().MapRegion(config_.working_set_bytes, process.default_page_kind());
-  region_vpn_ = vaddr / kBasePageSize;
-  num_pages_ = std::max<uint64_t>(config_.working_set_bytes / kBasePageSize, 1);
+void HotsetStream::Map(Process& process) {
+  region_vpn_ = MapRegion(process, config_.working_set_bytes);
   hot_pages_ = std::max<uint64_t>(
-      static_cast<uint64_t>(static_cast<double>(num_pages_) * config_.hot_fraction), 1);
+      static_cast<uint64_t>(static_cast<double>(num_pages()) * config_.hot_fraction), 1);
 }
 
-bool HotsetStream::Next(Rng& rng, MemOp* op) {
-  if (config_.sequential_init && init_cursor_ < num_pages_) {
-    op->vaddr = (region_vpn_ + init_cursor_++) * kBasePageSize;
-    op->is_store = true;
-    op->think_time = 0;
-    return true;
-  }
-  if (config_.op_limit != 0 && ops_issued_ >= config_.op_limit) {
-    return false;
-  }
-  ++ops_issued_;
-  if (config_.phase_ops != 0 && ops_issued_ % config_.phase_ops == 0) {
-    hot_base_ = (hot_base_ + hot_pages_) % num_pages_;
-  }
-  uint64_t page = 0;
-  if (rng.NextBool(config_.hot_access_fraction)) {
-    page = (hot_base_ + rng.NextBelow(hot_pages_)) % num_pages_;
-  } else {
-    page = rng.NextBelow(num_pages_);
-  }
-  op->vaddr = (region_vpn_ + page) * kBasePageSize + RandomOffsetInPage(rng);
-  op->is_store = !rng.NextBool(config_.read_ratio);
-  op->think_time = config_.per_op_delay;
-  return true;
-}
-
-void SegmentedStream::Init(Process& process, Rng& /*rng*/) {
-  num_pages_ = std::max<uint64_t>(config_.working_set_bytes / kBasePageSize, 1);
-  const uint64_t segments = std::max<uint64_t>(std::min(config_.segments, num_pages_), 1);
-  pages_per_segment_ = (num_pages_ + segments - 1) / segments;
-  if ((pages_per_segment_ & (pages_per_segment_ - 1)) == 0) {
-    pages_per_segment_shift_ = 0;
-    while ((uint64_t{1} << pages_per_segment_shift_) < pages_per_segment_) {
-      ++pages_per_segment_shift_;
-    }
-  } else if (num_pages_ < (uint64_t{1} << 32) && pages_per_segment_ < (uint64_t{1} << 32)) {
-    // Round-up reciprocal for the hot-path divide (see IndexToVpn). Exactness over the
-    // whole index range follows from idx, d < 2^32; verify the hardest cases anyway —
-    // the quotient steps at segment boundaries, so those are where a bad magic breaks.
-    seg_magic_ = std::numeric_limits<uint64_t>::max() / pages_per_segment_ + 1;
-    for (uint64_t seg = 1; seg * pages_per_segment_ < num_pages_; ++seg) {
-      const uint64_t boundary = seg * pages_per_segment_;
-      for (const uint64_t idx : {boundary - 1, boundary}) {
-        const uint64_t fast =
-            static_cast<uint64_t>((static_cast<__uint128_t>(idx) * seg_magic_) >> 64);
-        CHECK_EQ(fast, idx / pages_per_segment_) << "bad segment reciprocal";
-      }
-    }
-  }
-  uint64_t remaining = num_pages_;
-  while (remaining > 0) {
+void SegmentedStream::Map(Process& process) {
+  const uint64_t segments = std::max<uint64_t>(std::min(config_.segments, num_pages()), 1);
+  pages_per_segment_ = (num_pages() + segments - 1) / segments;
+  for (uint64_t remaining = num_pages(); remaining > 0;) {
     const uint64_t pages = std::min(pages_per_segment_, remaining);
-    const uint64_t vaddr =
-        process.aspace().MapRegion(pages * kBasePageSize, process.default_page_kind());
-    base_vpns_.push_back(vaddr / kBasePageSize);
+    base_vpns_.push_back(MapRegion(process, pages * kBasePageSize));
     remaining -= pages;
   }
-}
-
-bool SegmentedStream::Next(Rng& rng, MemOp* op) {
-  if (config_.sequential_init && init_cursor_ < num_pages_) {
-    op->vaddr = IndexToVpn(init_cursor_++) * kBasePageSize;
-    op->is_store = true;
-    op->think_time = 0;
-    return true;
-  }
-  if (config_.op_limit != 0 && ops_issued_ >= config_.op_limit) {
-    return false;
-  }
-  ++ops_issued_;
-  op->vaddr = IndexToVpn(rng.NextBelow(num_pages_)) * kBasePageSize + RandomOffsetInPage(rng);
-  op->is_store = !rng.NextBool(config_.read_ratio);
-  op->think_time = config_.per_op_delay;
-  return true;
+  segment_of_ = RoundUpDivider(pages_per_segment_, base_vpns_.size());
 }
 
 }  // namespace chronotier

@@ -1,8 +1,9 @@
-// Generic synthetic access patterns used by tests and microbenches: uniform, Zipfian,
-// fixed hot-set, and phase-shifting hot-set streams.
+// Synthetic page streams: the op envelope they share, the fixed and phase-shifting hot-set
+// stream, and the segmented uniform stream (one segment is the plain uniform stream).
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -10,60 +11,88 @@
 
 namespace chronotier {
 
-struct UniformConfig {
-  uint64_t working_set_bytes = 16ull * 1024 * 1024;
-  double read_ratio = 0.9;
-  uint64_t op_limit = 0;
-  SimDuration per_op_delay = 0;
-  bool sequential_init = false;  // Address-ordered pre-touch before the pattern starts.
-};
-
-class UniformStream : public AccessStream {
+// Divides by a fixed divisor d on a per-op address map without a hardware divide: a shift
+// when d is a power of two, else Lemire's round-up multiply-shift — with
+// m = floor(2^64 / d) + 1, (a * m) >> 64 == a / d exactly for all a, d < 2^32. The
+// constructor verifies both sides of every quotient step anyway (a bad magic breaks
+// there first), and falls back to real division outside the proven range.
+class RoundUpDivider {
  public:
-  explicit UniformStream(UniformConfig config) : config_(config) {}
-  void Init(Process& process, Rng& rng) override;
-  bool Next(Rng& rng, MemOp* op) override;
+  RoundUpDivider() = default;
+  // Dividends stay below `divisor * quotients`.
+  RoundUpDivider(uint64_t divisor, uint64_t quotients);
 
-  uint64_t region_start_vpn() const { return region_vpn_; }
-  uint64_t num_pages() const { return num_pages_; }
+  uint64_t operator()(uint64_t a) const {
+    if (shift_ >= 0) {
+      return a >> shift_;
+    }
+    if (magic_ != 0) {
+      return static_cast<uint64_t>((static_cast<__uint128_t>(a) * magic_) >> 64);
+    }
+    return a / divisor_;
+  }
 
  private:
-  UniformConfig config_;
-  uint64_t region_vpn_ = 0;
+  uint64_t divisor_ = 1;
+  int shift_ = 0;       // >= 0 when divisor_ is a power of two.
+  uint64_t magic_ = 0;  // Round-up reciprocal of divisor_; 0 = divide.
+};
+
+// The op envelope every page stream shares. After an optional address-ordered pre-touch
+// (every page once, as a store with no think time), each op draws its page, then its
+// offset in the page, then whether it is a store, and charges `per_op_delay`; the stream
+// ends after `op_limit` ops (0 = never). `Derived` maps its working set in
+// `Map(process)` (num_pages() is set by then), names the vpn of the i-th page in address
+// order in `VpnAt(i)` and draws one op's vpn in `DrawVpn(rng)`, reading ops_issued()
+// after the op is counted. `Config` carries working_set_bytes, read_ratio, op_limit,
+// per_op_delay and sequential_init. The hooks bind statically, so Next() makes no virtual
+// call.
+template <typename Derived, typename Config>
+class PageStream : public AccessStream {
+ public:
+  explicit PageStream(Config config) : config_(config) {}
+
+  void Init(Process& process, Rng& /*rng*/) final {
+    // MapRegion may round up to the huge-page unit; address the requested set only.
+    num_pages_ = std::max<uint64_t>(config_.working_set_bytes / kBasePageSize, 1);
+    self().Map(process);
+  }
+
+  bool Next(Rng& rng, MemOp* op) final {
+    if (config_.sequential_init && init_cursor_ < num_pages_) {
+      op->vaddr = self().VpnAt(init_cursor_++) * kBasePageSize;
+      op->is_store = true;
+      op->think_time = 0;
+      return true;
+    }
+    if (config_.op_limit != 0 && ops_issued_ >= config_.op_limit) {
+      return false;
+    }
+    ++ops_issued_;
+    const uint64_t vpn = self().DrawVpn(rng);
+    op->vaddr = vpn * kBasePageSize + rng.NextBelow(kBasePageSize & ~7ull);
+    op->is_store = !rng.NextBool(config_.read_ratio);
+    op->think_time = config_.per_op_delay;
+    return true;
+  }
+
+  uint64_t num_pages() const { return num_pages_; }
+
+ protected:
+  // Maps `bytes` as one region of the process's default page kind; returns its first vpn.
+  static uint64_t MapRegion(Process& process, uint64_t bytes) {
+    return process.aspace().MapRegion(bytes, process.default_page_kind()) / kBasePageSize;
+  }
+  uint64_t ops_issued() const { return ops_issued_; }
+
+  Config config_;
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
+
   uint64_t num_pages_ = 0;
   uint64_t ops_issued_ = 0;
   uint64_t init_cursor_ = 0;
-};
-
-struct ZipfConfig {
-  uint64_t working_set_bytes = 16ull * 1024 * 1024;
-  double skew = 0.99;
-  double read_ratio = 0.9;
-  uint64_t op_limit = 0;
-  bool shuffle = true;  // Permute ranks over the address space (hot pages scattered).
-  SimDuration per_op_delay = 0;
-  bool sequential_init = false;
-};
-
-class ZipfStream : public AccessStream {
- public:
-  explicit ZipfStream(ZipfConfig config) : config_(config) {}
-  void Init(Process& process, Rng& rng) override;
-  bool Next(Rng& rng, MemOp* op) override;
-
-  uint64_t region_start_vpn() const { return region_vpn_; }
-  uint64_t num_pages() const { return num_pages_; }
-  // Page holding the given popularity rank (0 = hottest).
-  uint64_t VpnForRank(uint64_t rank) const;
-
- private:
-  ZipfConfig config_;
-  uint64_t region_vpn_ = 0;
-  uint64_t num_pages_ = 0;
-  uint64_t ops_issued_ = 0;
-  uint64_t init_cursor_ = 0;
-  uint64_t shuffle_multiplier_ = 1;  // Odd multiplier => bijective page permutation.
-  std::unique_ptr<ZipfSampler> sampler_;
 };
 
 // A fixed hot set: `hot_fraction` of the pages receive `hot_access_fraction` of accesses.
@@ -77,81 +106,68 @@ struct HotsetConfig {
   // (phase-change workloads for adaptivity tests).
   uint64_t phase_ops = 0;
   SimDuration per_op_delay = 0;
-  bool sequential_init = false;
+  bool sequential_init = false;  // Address-ordered pre-touch before the pattern starts.
 };
 
-class HotsetStream : public AccessStream {
+class HotsetStream final : public PageStream<HotsetStream, HotsetConfig> {
  public:
-  explicit HotsetStream(HotsetConfig config) : config_(config) {}
-  void Init(Process& process, Rng& rng) override;
-  bool Next(Rng& rng, MemOp* op) override;
+  using PageStream::PageStream;
 
   uint64_t region_start_vpn() const { return region_vpn_; }
-  uint64_t num_pages() const { return num_pages_; }
   uint64_t hot_pages() const { return hot_pages_; }
   uint64_t current_hot_base() const { return hot_base_; }
 
  private:
-  HotsetConfig config_;
+  friend PageStream;
+  void Map(Process& process);
+  uint64_t VpnAt(uint64_t i) const { return region_vpn_ + i; }
+  uint64_t DrawVpn(Rng& rng) {
+    if (config_.phase_ops != 0 && ops_issued() % config_.phase_ops == 0) {
+      hot_base_ = (hot_base_ + hot_pages_) % num_pages();
+    }
+    if (rng.NextBool(config_.hot_access_fraction)) {
+      return region_vpn_ + (hot_base_ + rng.NextBelow(hot_pages_)) % num_pages();
+    }
+    return region_vpn_ + rng.NextBelow(num_pages());
+  }
+
   uint64_t region_vpn_ = 0;
-  uint64_t num_pages_ = 0;
   uint64_t hot_pages_ = 0;
   uint64_t hot_base_ = 0;
-  uint64_t ops_issued_ = 0;
-  uint64_t init_cursor_ = 0;
 };
 
-// Uniform accesses over a working set mapped as many separate VMAs (glibc arenas, mmap'd
-// chunks, per-shard slabs). Consecutive accesses hop regions, so the last-hit VMA cache
-// misses almost every op and translation pays a real FindVma walk — the address-space
-// shape the software TLB exists for. chronobench's fastlane workload uses it to time the
-// fast lane; single-region streams (above) resolve via the last-hit VMA and see ~none of
-// that cost.
+// Uniform accesses over a working set mapped as `segments` separate VMAs (glibc arenas,
+// mmap'd chunks, per-shard slabs). With many segments, consecutive accesses hop regions,
+// so the last-hit VMA cache misses almost every op and translation pays a real FindVma
+// walk — the address-space shape the software TLB exists for; chronobench's fastlane
+// workload uses it to time the fast lane. One segment (the default) is the plain uniform
+// stream over one region, which resolves via the last-hit VMA.
 struct SegmentedConfig {
-  uint64_t working_set_bytes = 96ull * 1024 * 1024;
-  uint64_t segments = 24;  // VMAs; working set split evenly (last may be short).
+  uint64_t working_set_bytes = 16ull * 1024 * 1024;
+  uint64_t segments = 1;  // VMAs; working set split evenly (last may be short).
   double read_ratio = 0.9;
   uint64_t op_limit = 0;
   SimDuration per_op_delay = 0;
   bool sequential_init = false;
 };
 
-class SegmentedStream : public AccessStream {
+class SegmentedStream final : public PageStream<SegmentedStream, SegmentedConfig> {
  public:
-  explicit SegmentedStream(SegmentedConfig config) : config_(config) {}
-  void Init(Process& process, Rng& rng) override;
-  bool Next(Rng& rng, MemOp* op) override;
-
-  uint64_t num_pages() const { return num_pages_; }
-  uint64_t segments() const { return base_vpns_.size(); }
+  using PageStream::PageStream;
 
  private:
-  // Virtual page holding the idx-th page of the working set (idx < num_pages_). This is
-  // the per-op address map on the bench hot path, so the non-power-of-two segment case
-  // uses a precomputed reciprocal instead of a hardware divide: with
-  // m = floor(2^64 / d) + 1, (idx * m) >> 64 == idx / d exactly for all idx, d < 2^32
-  // (Lemire's round-up multiply-shift; Init verifies every segment boundary and falls
-  // back to real division outside the proven range).
-  uint64_t IndexToVpn(uint64_t idx) const {
-    uint64_t seg;
-    if (pages_per_segment_shift_ >= 0) {
-      seg = idx >> pages_per_segment_shift_;
-    } else if (seg_magic_ != 0) {
-      seg = static_cast<uint64_t>((static_cast<__uint128_t>(idx) * seg_magic_) >> 64);
-    } else {
-      seg = idx / pages_per_segment_;
-    }
+  friend PageStream;
+  void Map(Process& process);
+  // Virtual page holding the idx-th page of the working set (idx < num_pages()).
+  uint64_t VpnAt(uint64_t idx) const {
+    const uint64_t seg = segment_of_(idx);
     return base_vpns_[seg] + (idx - seg * pages_per_segment_);
   }
+  uint64_t DrawVpn(Rng& rng) { return VpnAt(rng.NextBelow(num_pages())); }
 
-  SegmentedConfig config_;
   std::vector<uint64_t> base_vpns_;
-  uint64_t num_pages_ = 0;
   uint64_t pages_per_segment_ = 1;
-  int pages_per_segment_shift_ = -1;  // >= 0 when pages_per_segment_ is a power of two.
-  uint64_t seg_magic_ = 0;  // Round-up reciprocal of pages_per_segment_; 0 = divide.
-  uint64_t ops_issued_ = 0;
-  uint64_t init_cursor_ = 0;
+  RoundUpDivider segment_of_;  // idx / pages_per_segment_.
 };
 
 }  // namespace chronotier

@@ -1,6 +1,5 @@
 #include "src/workloads/tenant_kv.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/common/check.h"
@@ -10,11 +9,7 @@ namespace chronotier {
 void TenantKvStream::Init(Process& process, Rng& /*rng*/) {
   CHECK(config_.virtual_tenants > 0 && config_.items_per_tenant > 0)
       << "tenant_kv needs at least one tenant and one item";
-  // One burst holds the directory probe plus one op per value page; a longer value
-  // would silently skip its tail pages.
-  CHECK_LE(MaxValuePages(config_.value_bytes), static_cast<uint64_t>(kMaxBurst - 1))
-      << "tenant_kv value_bytes " << config_.value_bytes << " can span more than "
-      << kMaxBurst - 1 << " pages";
+  ValueBurst::CheckFits("tenant_kv", config_.value_bytes);
   const uint64_t directory_bytes = config_.virtual_tenants * kDirentBytes;
   const uint64_t heap_bytes = total_items() * config_.value_bytes;
 
@@ -39,24 +34,14 @@ uint64_t TenantKvStream::TenantForRank(uint64_t rank, uint64_t epoch) const {
 
 void TenantKvStream::EmitOp(uint64_t tenant, uint64_t item, bool is_set,
                             SimDuration arrival_gap) {
-  burst_len_ = 0;
-  burst_pos_ = 0;
   // Directory probe (always a read; the open-loop arrival gap is charged here so the
   // operation's service time never feeds back into its issue rate).
-  burst_[burst_len_++] = MemOp{DirentAddr(tenant), false, arrival_gap};
-  // Value pages: one reference per page the value spans (at least one).
-  const uint64_t first = ItemAddr(tenant, item);
-  const uint64_t last = first + std::max<uint64_t>(config_.value_bytes, 1) - 1;
-  for (uint64_t page = first / kBasePageSize;
-       page <= last / kBasePageSize && burst_len_ < kMaxBurst; ++page) {
-    const uint64_t addr = std::max(first, page * kBasePageSize);
-    burst_[burst_len_++] = MemOp{addr, is_set, 0};
-  }
+  burst_.Emit(MemOp{DirentAddr(tenant), false, arrival_gap}, ItemAddr(tenant, item),
+              config_.value_bytes, is_set, 0);
 }
 
 bool TenantKvStream::Next(Rng& rng, MemOp* op) {
-  if (burst_pos_ < burst_len_) {
-    *op = burst_[burst_pos_++];
+  if (burst_.Pop(op)) {
     return true;
   }
   if (init_cursor_ < total_items()) {
@@ -67,8 +52,7 @@ bool TenantKvStream::Next(Rng& rng, MemOp* op) {
     const uint64_t item = init_cursor_ % config_.items_per_tenant;
     ++init_cursor_;
     EmitOp(tenant, item, /*is_set=*/true, gap);
-    *op = burst_[burst_pos_++];
-    return true;
+    return burst_.Pop(op);
   }
   if (config_.op_limit != 0 && ops_issued_ >= config_.op_limit) {
     return false;
@@ -91,8 +75,7 @@ bool TenantKvStream::Next(Rng& rng, MemOp* op) {
         std::llround(rng.NextExponential(static_cast<double>(config_.mean_interarrival))));
   }
   EmitOp(tenant, item, rng.NextBool(config_.set_fraction), arrival_gap);
-  *op = burst_[burst_pos_++];
-  return true;
+  return burst_.Pop(op);
 }
 
 }  // namespace chronotier

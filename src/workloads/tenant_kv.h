@@ -85,11 +85,7 @@ class TenantKvStream : public AccessStream {
 
   static constexpr uint64_t kDirentBytes = 64;
 
-  // Tiny fixed replay buffer (dirent + value pages), same idiom as KvStoreStream.
-  static constexpr int kMaxBurst = 8;
-  MemOp burst_[kMaxBurst];
-  int burst_len_ = 0;
-  int burst_pos_ = 0;
+  ValueBurst burst_;
 };
 
 }  // namespace chronotier

@@ -154,8 +154,7 @@ struct ZipfCase {
 };
 
 // Configured: tenant popularity 16 and 64 at 1.05; key spaces 192, 512, fig15's 1536 / N
-// for N in {1, 4, 8, 16, 64}, and ZipfStream's 1000 and default 4096 pages at 0.99;
-// fig15's 768-item victim at 0.2.
+// for N in {1, 4, 8, 16, 64}, and 1000 and 4096 at 0.99; fig15's 768-item victim at 0.2.
 constexpr ZipfCase kZipfCases[] = {
     {16, 1.05},   {64, 1.05},  {192, 0.99}, {512, 0.99},  {1536, 0.99},
     {384, 0.99},  {96, 0.99},  {24, 0.99},  {1000, 0.99}, {4096, 0.99},

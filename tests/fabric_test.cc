@@ -397,11 +397,11 @@ TEST(FabricMachineTest, ScriptedHotRemoveDrainsEndpointToOffline) {
   config.fault.fabric.endpoint_events = {remove};
   config.fault.fabric.endpoint_drain_deadline = 2 * kSecond;
 
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2000 * kBasePageSize;  // Overflows the root into endpoint 1.
   w.read_ratio = 0.5;
   w.sequential_init = true;
-  const ProcessSpec proc{"hotremove", [w] { return std::make_unique<UniformStream>(w); }};
+  const ProcessSpec proc{"hotremove", [w] { return std::make_unique<SegmentedStream>(w); }};
 
   uint64_t resident_after = ~0ull;
   uint64_t inflight_after = ~0ull;
@@ -482,11 +482,11 @@ FabricChaosOutcome RunFabricChaos(uint64_t seed, uint64_t fault_seed) {
 
   Machine machine(config, std::make_unique<AsyncPromoteAllPolicy>());
   Process& process = machine.CreateProcess("fabric-chaos");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 3000 * kBasePageSize;
   w.read_ratio = 0.5;
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), seed + 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), seed + 1);
   machine.Start();
   machine.Run(4 * kSecond);
 

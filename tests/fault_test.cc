@@ -409,11 +409,11 @@ ChaosOutcome RunChaos(const PolicyFactory& make_policy, uint64_t seed,
   config.audit_period = 250 * kMillisecond;  // Audit aggressively mid-chaos.
   Machine machine(config, make_policy());
   Process& process = machine.CreateProcess("chaos");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 3000 * kBasePageSize;
   w.read_ratio = 0.5;
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), seed + 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), seed + 1);
   machine.Start();
   machine.Run(5 * kSecond);
 
@@ -513,10 +513,10 @@ TEST(PressureSpikeTest, StolenFramesAreReturnedAndDegradedModeClears) {
   config.audit_period = 100 * kMillisecond;
   Machine machine(config, std::make_unique<AsyncPromoteAllPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2800 * kBasePageSize;
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 5);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 5);
   machine.Start();
   machine.Run(2 * kSecond);  // Last spike at 1.8s ends at 1.85s.
 
@@ -545,10 +545,10 @@ void RunAllocExhaustion(const PolicyFactory& make_policy) {
   config.audit_period = 200 * kMillisecond;
   Machine machine(config, make_policy());
   Process& process = machine.CreateProcess("hog");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2200 * kBasePageSize;  // > 2048 physical pages.
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 9);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 9);
   machine.Start();
   machine.Run(2 * kSecond);
 
@@ -597,10 +597,10 @@ class AuditorCorruptionTest : public ::testing::Test {
     config.audit_period = 0;  // Manual audits only: we corrupt state on purpose.
     machine_ = std::make_unique<Machine>(config, std::make_unique<AsyncPromoteAllPolicy>());
     Process& process = machine_->CreateProcess("app");
-    UniformConfig w;
+    SegmentedConfig w;
     w.working_set_bytes = 512 * kBasePageSize;
     w.sequential_init = true;
-    machine_->AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+    machine_->AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
     machine_->Start();
     machine_->Run(kSecond);
     ASSERT_TRUE(machine_->AuditNow().clean());

@@ -60,9 +60,9 @@ MachineConfig SmallMachine(uint64_t pages = 4096) {
 TEST(MachineTest, DemandPagingAllocatesFastFirst) {
   Machine machine(SmallMachine(), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 512 * kBasePageSize;  // Half the fast tier.
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(kSecond);
 
@@ -75,10 +75,10 @@ TEST(MachineTest, DemandPagingAllocatesFastFirst) {
 TEST(MachineTest, OverflowSpillsToSlowTier) {
   Machine machine(SmallMachine(4096), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("big");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 3000 * kBasePageSize;  // Fast tier holds 1024.
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(kSecond);
 
@@ -90,11 +90,11 @@ TEST(MachineTest, OverflowSpillsToSlowTier) {
 TEST(MachineTest, SlowTierAccessesCostMore) {
   Machine machine(SmallMachine(4096), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 3000 * kBasePageSize;
   w.sequential_init = true;
   w.read_ratio = 1.0;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(2 * kSecond);
   machine.metrics().Reset();
@@ -111,9 +111,9 @@ TEST(MachineTest, SlowTierAccessesCostMore) {
 TEST(MachineTest, HintFaultsFireAfterPoison) {
   Machine machine(SmallMachine(), std::make_unique<PoisonAllPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 256 * kBasePageSize;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(3 * kSecond);
 
@@ -124,10 +124,10 @@ TEST(MachineTest, HintFaultsFireAfterPoison) {
 TEST(MachineTest, MruPolicyPromotesSlowPages) {
   Machine machine(SmallMachine(4096), std::make_unique<PoisonAllPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2048 * kBasePageSize;
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(5 * kSecond);
 
@@ -139,10 +139,10 @@ TEST(MachineTest, MruPolicyPromotesSlowPages) {
 TEST(MachineTest, FrameAccountingConsistent) {
   Machine machine(SmallMachine(4096), std::make_unique<PoisonAllPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2048 * kBasePageSize;
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(5 * kSecond);
 
@@ -167,10 +167,10 @@ TEST(MachineTest, FrameAccountingConsistent) {
 TEST(MachineTest, LruTracksResidentUnits) {
   Machine machine(SmallMachine(4096), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 512 * kBasePageSize;
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(kSecond);
   EXPECT_EQ(machine.lru(kFastNode).total(), 512u);
@@ -181,9 +181,9 @@ TEST(MachineTest, HugePageDemandFaultAllocatesWholeUnit) {
   Machine machine(SmallMachine(8192), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("huge");
   process.set_default_page_kind(PageSizeKind::kHuge);
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = kHugePageSize;  // One huge unit.
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(100 * kMillisecond);
 
@@ -197,9 +197,9 @@ TEST(MachineTest, SplitHugeUnitPreservesResidency) {
   Machine machine(SmallMachine(8192), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("huge");
   process.set_default_page_kind(PageSizeKind::kHuge);
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = kHugePageSize;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(100 * kMillisecond);
 
@@ -227,10 +227,10 @@ TEST(MachineTest, MigrationEngineRefusesWhenSaturated) {
   config.bandwidth_scale = 1e6;  // Absurdly slow copies: one migration saturates.
   Machine machine(config, std::make_unique<PoisonAllPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2048 * kBasePageSize;
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(3 * kSecond);
   EXPECT_GT(machine.metrics().migration().refused[static_cast<size_t>(
@@ -243,10 +243,10 @@ TEST(MachineTest, MigrationEngineRefusesWhenSaturated) {
 TEST(MachineTest, RunToCompletionStopsAtStreamEnd) {
   Machine machine(SmallMachine(), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("finite");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 64 * kBasePageSize;
   w.op_limit = 10000;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   const SimDuration elapsed = machine.RunToCompletion(kMinute);
   EXPECT_TRUE(machine.AllProcessesFinished());
@@ -265,7 +265,7 @@ struct StreamCallLog {
 
 class CountingStream : public AccessStream {
  public:
-  CountingStream(UniformConfig config, StreamCallLog* log) : inner_(config), log_(log) {}
+  CountingStream(SegmentedConfig config, StreamCallLog* log) : inner_(config), log_(log) {}
 
   void Init(Process& process, Rng& rng) override { inner_.Init(process, rng); }
   bool Next(Rng& rng, MemOp* op) override { return inner_.Next(rng, op); }
@@ -281,7 +281,7 @@ class CountingStream : public AccessStream {
   }
 
  private:
-  UniformStream inner_;
+  SegmentedStream inner_;
   StreamCallLog* log_;
 };
 
@@ -293,7 +293,7 @@ enum class Filler { kHelper, kInline, kAlternating };
 StreamCallLog RunCountingStream(uint64_t op_limit, Filler filler) {
   Machine machine(SmallMachine(), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("counted");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 256 * kBasePageSize;
   w.op_limit = op_limit;
   StreamCallLog log;
@@ -343,10 +343,10 @@ TEST(MachineTest, AccessDelayThrottlesProcess) {
   Process& fast_proc = machine.CreateProcess("fast");
   Process& slow_proc = machine.CreateProcess("slow");
   slow_proc.set_access_delay(10 * kMicrosecond);
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 64 * kBasePageSize;
-  machine.AttachWorkload(fast_proc, std::make_unique<UniformStream>(w), 1);
-  machine.AttachWorkload(slow_proc, std::make_unique<UniformStream>(w), 2);
+  machine.AttachWorkload(fast_proc, std::make_unique<SegmentedStream>(w), 1);
+  machine.AttachWorkload(slow_proc, std::make_unique<SegmentedStream>(w), 2);
   machine.Start();
   machine.Run(kSecond);
   EXPECT_GT(fast_proc.completed_accesses(), 10 * slow_proc.completed_accesses());
@@ -357,11 +357,11 @@ TEST(ExperimentTest, RunsAndReportsMetrics) {
   config.total_pages = 8192;
   config.warmup = kSecond;
   config.measure = 2 * kSecond;
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 1024 * kBasePageSize;
   std::vector<ProcessSpec> procs = {
-      {"p0", [w] { return std::make_unique<UniformStream>(w); }},
-      {"p1", [w] { return std::make_unique<UniformStream>(w); }}};
+      {"p0", [w] { return std::make_unique<SegmentedStream>(w); }},
+      {"p1", [w] { return std::make_unique<SegmentedStream>(w); }}};
   const ExperimentResult result = Experiment::Run(
       config, [] { return std::make_unique<NullPolicy>(); }, procs);
   EXPECT_EQ(result.policy_name, "null");
@@ -377,10 +377,10 @@ TEST(ExperimentTest, ResidencySamplingProducesSeries) {
   config.warmup = 0;
   config.measure = 2 * kSecond;
   config.residency_sample_interval = 500 * kMillisecond;
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 512 * kBasePageSize;
   std::vector<ProcessSpec> procs = {
-      {"p0", [w] { return std::make_unique<UniformStream>(w); }}};
+      {"p0", [w] { return std::make_unique<SegmentedStream>(w); }}};
   const ExperimentResult result = Experiment::Run(
       config, [] { return std::make_unique<NullPolicy>(); }, procs);
   ASSERT_EQ(result.residency_percent.size(), 1u);
@@ -455,11 +455,11 @@ Process& AddToucher(Machine& machine, const std::string& name, uint64_t pages,
                     int tenant = 0) {
   Process& process = machine.CreateProcess(name);
   machine.AssignTenant(process, tenant);
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = pages * kBasePageSize;
   w.sequential_init = true;
   w.op_limit = 1;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   return process;
 }
 

@@ -510,11 +510,11 @@ ReplayOutcome RunReplay(uint64_t seed) {
   config.bandwidth_scale = 64;
   Machine machine(config, std::make_unique<AsyncPromoteAllPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 3000 * kBasePageSize;  // Overflows the 1024-page fast tier.
   w.read_ratio = 0.5;                          // Write-heavy: provoke dirty aborts.
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), seed + 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), seed + 1);
   machine.Start();
   machine.Run(5 * kSecond);
 

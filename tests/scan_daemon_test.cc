@@ -42,9 +42,9 @@ ScanRig MakeRig(ScanGeometry geometry, uint64_t ws_pages) {
   rig.machine = std::make_unique<Machine>(MachineConfig::StandardTwoTier(8192, 0.25),
                                           std::move(policy));
   rig.process = &rig.machine->CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = ws_pages * kBasePageSize;
-  rig.machine->AttachWorkload(*rig.process, std::make_unique<UniformStream>(w), 3);
+  rig.machine->AttachWorkload(*rig.process, std::make_unique<SegmentedStream>(w), 3);
   rig.machine->Start();
   return rig;
 }
@@ -96,9 +96,9 @@ TEST(ScanDaemonTest, LateProcessGetsItsOwnScanner) {
 
   // A process created after Start() must also be scanned (OnProcessCreated path).
   Process& late = rig.machine->CreateProcess("late");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 512 * kBasePageSize;
-  rig.machine->AttachWorkload(late, std::make_unique<UniformStream>(w), 9);
+  rig.machine->AttachWorkload(late, std::make_unique<SegmentedStream>(w), 9);
   rig.machine->Run(2 * kSecond);
   EXPECT_GT(rig.policy->visits, before + 512);
 }
@@ -114,9 +114,9 @@ TEST(ScanDaemonTest, HugeMappingsVisitHeadsOnly) {
                                           std::move(policy));
   rig.process = &rig.machine->CreateProcess("huge");
   rig.process->set_default_page_kind(PageSizeKind::kHuge);
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2 * kHugePageSize;
-  rig.machine->AttachWorkload(*rig.process, std::make_unique<UniformStream>(w), 3);
+  rig.machine->AttachWorkload(*rig.process, std::make_unique<SegmentedStream>(w), 3);
   rig.machine->Start();
   rig.machine->Run(1100 * kMillisecond);
   EXPECT_EQ(rig.policy->visits, 2u);  // Two PMD entries, not 1024 PTEs.

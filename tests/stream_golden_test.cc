@@ -7,8 +7,8 @@
 // divide-free index folds) must reproduce them bit for bit, because any drift would move
 // every experiment built on the stream. Configurations cover each generator's defaults
 // plus the shapes the benches actually run (chronobench's tenant KV cell, fig15's
-// low-skew victim, pmbench's three patterns at strides 1-3, Zipf on both sides of the
-// sampler's table cap).
+// low-skew victim, pmbench's Gaussian at strides 1-3). `uniform` is the segmented stream
+// with one segment.
 
 #include <gtest/gtest.h>
 
@@ -64,21 +64,13 @@ struct StreamCase {
   std::function<std::unique_ptr<AccessStream>()> make;
 };
 
-std::unique_ptr<AccessStream> Pmbench(PmbenchPattern pattern, uint64_t stride) {
+std::unique_ptr<AccessStream> Pmbench(uint64_t stride) {
   PmbenchConfig config;
   config.working_set_bytes = 6144 * kBasePageSize;
-  config.pattern = pattern;
   config.stride = stride;
   config.read_ratio = 0.7;
   config.per_op_delay = kMicrosecond;
   return std::make_unique<PmbenchStream>(config);
-}
-
-std::unique_ptr<AccessStream> Zipf(uint64_t pages, double skew) {
-  ZipfConfig config;
-  config.working_set_bytes = pages * kBasePageSize;
-  config.skew = skew;
-  return std::make_unique<ZipfStream>(config);
 }
 
 // chronobench's tenants-fabric process (and fig15's QoS rows): 16 x 192 one-page items.
@@ -109,9 +101,7 @@ std::unique_ptr<AccessStream> VictimTenantKv() {
 const std::vector<StreamCase>& Cases() {
   static const std::vector<StreamCase> kCases = {
       {"uniform", 0x1ca0d7425fd4fe3aull,
-       [] { return std::make_unique<UniformStream>(UniformConfig{}); }},
-      {"zipf/n1024", 0x8ed7502a50da992ull, [] { return Zipf(1024, 0.99); }},
-      {"zipf/n8192", 0xb6df81d5c313d716ull, [] { return Zipf(8192, 0.99); }},
+       [] { return std::make_unique<SegmentedStream>(SegmentedConfig{}); }},
       {"hotset", 0x112acdb419acdd83ull,
        [] {
          HotsetConfig config;
@@ -125,24 +115,9 @@ const std::vector<StreamCase>& Cases() {
          config.segments = 7;
          return std::make_unique<SegmentedStream>(config);
        }},
-      {"pmbench/gaussian/s1", 0x59207804fe0fe06full,
-       [] { return Pmbench(PmbenchPattern::kGaussian, 1); }},
-      {"pmbench/gaussian/s2", 0x663b89795177406full,
-       [] { return Pmbench(PmbenchPattern::kGaussian, 2); }},
-      {"pmbench/gaussian/s3", 0xdd1917b566b9206full,
-       [] { return Pmbench(PmbenchPattern::kGaussian, 3); }},
-      {"pmbench/uniform/s1", 0x3b01f46a7862f30bull,
-       [] { return Pmbench(PmbenchPattern::kUniform, 1); }},
-      {"pmbench/uniform/s2", 0x4d1370f9506a30bull,
-       [] { return Pmbench(PmbenchPattern::kUniform, 2); }},
-      {"pmbench/uniform/s3", 0x10579c100335130bull,
-       [] { return Pmbench(PmbenchPattern::kUniform, 3); }},
-      {"pmbench/linear/s1", 0x8ea2f3cc07735a7cull,
-       [] { return Pmbench(PmbenchPattern::kLinear, 1); }},
-      {"pmbench/linear/s2", 0xd3b4b9dbf3d07a7cull,
-       [] { return Pmbench(PmbenchPattern::kLinear, 2); }},
-      {"pmbench/linear/s3", 0xdc5991b0537dda7cull,
-       [] { return Pmbench(PmbenchPattern::kLinear, 3); }},
+      {"pmbench/gaussian/s1", 0x59207804fe0fe06full, [] { return Pmbench(1); }},
+      {"pmbench/gaussian/s2", 0x663b89795177406full, [] { return Pmbench(2); }},
+      {"pmbench/gaussian/s3", 0xdd1917b566b9206full, [] { return Pmbench(3); }},
       {"tenant_kv/bench", 0x142c8d451e933b89ull, BenchTenantKv},
       {"tenant_kv/victim", 0x768518bc92728048ull, VictimTenantKv},
       {"tenant_kv/defaults", 0x1f1ad60910ff9abdull,

@@ -55,10 +55,10 @@ TEST(ThreeTierTest, LatencyOrderingAcrossTiers) {
 TEST(ThreeTierTest, DemotionCascadesOneTierDown) {
   Machine machine(ThreeTierConfig(), std::make_unique<LinuxNumaBalancingPolicy>());
   Process& process = machine.CreateProcess("app");
-  UniformConfig w;
+  SegmentedConfig w;
   w.working_set_bytes = 2048 * kBasePageSize;  // DRAM (1024) overflows into CXL.
   w.sequential_init = true;
-  machine.AttachWorkload(process, std::make_unique<UniformStream>(w), 1);
+  machine.AttachWorkload(process, std::make_unique<SegmentedStream>(w), 1);
   machine.Start();
   machine.Run(5 * kSecond);
 

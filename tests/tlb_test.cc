@@ -24,7 +24,6 @@
 #include "src/vm/translation_cache.h"
 #include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
-#include "src/workloads/trace.h"
 #include "tests/experiment_result_testutil.h"
 
 namespace chronotier {
@@ -183,28 +182,40 @@ class NullPolicy : public TieringPolicy {
   SimDuration OnHintFault(Process&, Vma&, PageInfo&, bool, SimTime) override { return 0; }
 };
 
-// A trace that touches the same few pages over and over: each revisit after the first is a
-// guaranteed fast-lane hit (until something invalidates the translation). `first` lets the
-// huge-split test touch only tail pages (offset 0 is the group head's own base page).
-Trace LoopTrace(uint64_t pages, uint64_t touched, int rounds, uint64_t first = 0) {
-  Trace trace;
-  trace.set_working_set_bytes(pages * kBasePageSize);
-  for (int r = 0; r < rounds; ++r) {
-    for (uint64_t p = first; p < first + touched; ++p) {
-      MemOp op;
-      op.vaddr = p * kBasePageSize;
-      op.think_time = kMillisecond;
-      trace.Append(op);
-    }
+// Loads the same few pages of a `pages`-page region over and over, one per millisecond:
+// each revisit after the first is a guaranteed fast-lane hit (until something invalidates
+// the translation). `first` lets the huge-split test touch only tail pages (offset 0 is
+// the group head's own base page).
+class LoopStream : public AccessStream {
+ public:
+  LoopStream(uint64_t pages, uint64_t touched, uint64_t rounds, uint64_t first = 0)
+      : pages_(pages), touched_(touched), ops_(touched * rounds), first_(first) {}
+
+  void Init(Process& process, Rng& /*rng*/) override {
+    base_ = process.aspace().MapRegion(pages_ * kBasePageSize, process.default_page_kind());
   }
-  return trace;
-}
+  bool Next(Rng& /*rng*/, MemOp* op) override {
+    if (issued_ == ops_) {
+      return false;
+    }
+    const uint64_t page = first_ + issued_++ % touched_;
+    *op = MemOp{base_ + page * kBasePageSize, false, kMillisecond};
+    return true;
+  }
+
+ private:
+  uint64_t pages_, touched_, ops_, first_;
+  uint64_t base_ = 0;
+  uint64_t issued_ = 0;
+};
 
 TEST(TlbStaleTranslationTest, PoisonedUnitStillFaults) {
-  const Trace trace = LoopTrace(/*pages=*/16, /*touched=*/4, /*rounds=*/4000);
   Machine machine(MachineConfig::StandardTwoTier(4096), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("t");
-  machine.AttachWorkload(process, std::make_unique<TraceStream>(&trace), 1);
+  machine.AttachWorkload(process,
+                         std::make_unique<LoopStream>(/*pages=*/16, /*touched=*/4,
+                                                      /*rounds=*/4000),
+                         1);
   machine.Start();
   machine.Run(kSecond);
 
@@ -229,14 +240,16 @@ TEST(TlbStaleTranslationTest, PoisonedUnitStillFaults) {
 }
 
 TEST(TlbStaleTranslationTest, HugeSplitRemapsTailVpns) {
-  // One huge group (512 base pages); the trace hammers a tail page, so the TLB caches
+  // One huge group (512 base pages); the stream hammers tail pages, so the TLB caches
   // tail_vpn -> group head.
-  const Trace trace = LoopTrace(/*pages=*/kBasePagesPerHugePage, /*touched=*/8,
-                                /*rounds=*/2000, /*first=*/1);
   Machine machine(MachineConfig::StandardTwoTier(4096), std::make_unique<NullPolicy>());
   Process& process = machine.CreateProcess("t");
   process.set_default_page_kind(PageSizeKind::kHuge);
-  machine.AttachWorkload(process, std::make_unique<TraceStream>(&trace), 1);
+  machine.AttachWorkload(process,
+                         std::make_unique<LoopStream>(/*pages=*/kBasePagesPerHugePage,
+                                                      /*touched=*/8, /*rounds=*/2000,
+                                                      /*first=*/1),
+                         1);
   machine.Start();
   machine.Run(kSecond);
 

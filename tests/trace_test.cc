@@ -1,7 +1,6 @@
-// Tests for trace record/replay (exact capture, file round-trip, replay fidelity across
-// machines, repeat semantics) and for the observability subsystem (src/trace): the
-// tracing-on/off bitwise-determinism guarantee, ring overwrite accounting, category
-// masks, per-page provenance, telemetry sampling, and the Chrome-trace exporter.
+// Tests for the observability subsystem (src/trace): the tracing-on/off
+// bitwise-determinism guarantee, ring overwrite accounting, category masks, per-page
+// provenance, telemetry sampling, and the Chrome-trace exporter.
 
 #include <gtest/gtest.h>
 
@@ -16,142 +15,13 @@
 #include "src/core/standard_policies.h"
 #include "src/harness/experiment.h"
 #include "src/harness/machine.h"
-#include "src/policies/linux_nb.h"
 #include "src/trace/exporter.h"
 #include "src/trace/tracer.h"
-#include "src/workloads/patterns.h"
 #include "src/workloads/pmbench.h"
-#include "src/workloads/trace.h"
 #include "tests/experiment_result_testutil.h"
 
 namespace chronotier {
 namespace {
-
-class NullPolicy : public TieringPolicy {
- public:
-  std::string_view name() const override { return "null"; }
-  void Attach(Machine&) override {}
-  SimDuration OnHintFault(Process&, Vma&, PageInfo&, bool, SimTime) override { return 0; }
-};
-
-Trace RecordHotsetTrace(uint64_t ops) {
-  Trace trace;
-  Machine machine(MachineConfig::StandardTwoTier(4096, 0.25),
-                  std::make_unique<NullPolicy>());
-  Process& process = machine.CreateProcess("recorded");
-  HotsetConfig w;
-  w.working_set_bytes = 512 * kBasePageSize;
-  w.op_limit = ops;
-  machine.AttachWorkload(
-      process, std::make_unique<TraceRecorder>(std::make_unique<HotsetStream>(w), &trace),
-      /*seed=*/123);
-  machine.Start();
-  machine.RunToCompletion(kMinute);
-  return trace;
-}
-
-TEST(TraceTest, RecorderCapturesEveryOp) {
-  const Trace trace = RecordHotsetTrace(5000);
-  EXPECT_EQ(trace.size(), 5000u);
-  EXPECT_EQ(trace.working_set_bytes(), 512 * kBasePageSize);
-  // Relative addressing: all ops fall inside the recorded working set.
-  for (const TraceEntry& entry : trace.entries()) {
-    EXPECT_LT(entry.vaddr, trace.working_set_bytes());
-  }
-}
-
-TEST(TraceTest, FileRoundTripIsExact) {
-  const Trace trace = RecordHotsetTrace(2000);
-  const std::string path = ::testing::TempDir() + "/chronotier_trace_test.txt";
-  ASSERT_TRUE(trace.SaveTo(path));
-
-  Trace loaded;
-  ASSERT_TRUE(Trace::LoadFrom(path, &loaded));
-  ASSERT_EQ(loaded.size(), trace.size());
-  EXPECT_EQ(loaded.working_set_bytes(), trace.working_set_bytes());
-  for (size_t i = 0; i < trace.size(); ++i) {
-    EXPECT_EQ(loaded.entries()[i].vaddr, trace.entries()[i].vaddr) << i;
-    EXPECT_EQ(loaded.entries()[i].is_store, trace.entries()[i].is_store) << i;
-    EXPECT_EQ(loaded.entries()[i].think_time, trace.entries()[i].think_time) << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/chronotier_bad_trace.txt";
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  ASSERT_NE(file, nullptr);
-  std::fputs("not a trace\n", file);
-  std::fclose(file);
-  Trace loaded;
-  EXPECT_FALSE(Trace::LoadFrom(path, &loaded));
-  EXPECT_FALSE(Trace::LoadFrom("/nonexistent/path/trace.txt", &loaded));
-  std::remove(path.c_str());
-}
-
-TEST(TraceTest, ReplayReproducesAccessCounts) {
-  const Trace trace = RecordHotsetTrace(8000);
-
-  // Replay the trace on two different machines; per-page oracle access counts must agree
-  // exactly (the whole point of traces: generator variance is gone).
-  auto run_replay = [&trace](uint64_t seed) {
-    Machine machine(MachineConfig::StandardTwoTier(4096, 0.25),
-                    std::make_unique<NullPolicy>());
-    Process& process = machine.CreateProcess("replay");
-    machine.AttachWorkload(process, std::make_unique<TraceStream>(&trace), seed);
-    machine.Start();
-    machine.RunToCompletion(kMinute);
-    std::vector<uint64_t> counts;
-    process.aspace().ForEachPage([&counts, &machine](Vma&, PageInfo& page) {
-      counts.push_back(machine.arena().cold(page).access_count);
-    });
-    return counts;
-  };
-  const std::vector<uint64_t> a = run_replay(1);
-  const std::vector<uint64_t> b = run_replay(999);  // Seed must not matter.
-  EXPECT_EQ(a, b);
-
-  uint64_t total = 0;
-  for (uint64_t count : a) {
-    total += count;
-  }
-  EXPECT_EQ(total, 8000u);
-}
-
-TEST(TraceTest, RepeatLoopsTheTrace) {
-  Trace trace;
-  trace.set_working_set_bytes(4 * kBasePageSize);
-  for (int i = 0; i < 10; ++i) {
-    trace.Append(MemOp{static_cast<uint64_t>(i % 4) * kBasePageSize, false, 0});
-  }
-
-  Machine machine(MachineConfig::StandardTwoTier(1024, 0.25),
-                  std::make_unique<NullPolicy>());
-  Process& process = machine.CreateProcess("looper");
-  machine.AttachWorkload(process, std::make_unique<TraceStream>(&trace, /*repeat=*/3), 1);
-  machine.Start();
-  machine.RunToCompletion(kMinute);
-  EXPECT_EQ(process.completed_accesses(), 30u);
-}
-
-TEST(TraceTest, ReplayWorksUnderRealPolicy) {
-  const Trace trace = RecordHotsetTrace(20000);
-  ScanGeometry geometry;
-  geometry.scan_period = kSecond;
-  geometry.scan_step_pages = 256;
-  Machine machine(MachineConfig::StandardTwoTier(1024, 0.25),
-                  std::make_unique<LinuxNumaBalancingPolicy>(geometry));
-  Process& process = machine.CreateProcess("replay");
-  machine.AttachWorkload(process, std::make_unique<TraceStream>(&trace, /*repeat=*/0), 1);
-  machine.Start();
-  machine.Run(5 * kSecond);  // repeat=0: loops forever; run a fixed window.
-  EXPECT_GT(machine.metrics().total_ops(), 20000u);
-  EXPECT_GT(machine.metrics().hint_faults(), 0u);
-}
-
-// ---------------------------------------------------------------------------------------
-// Observability subsystem (src/trace): Tracer / provenance / telemetry / exporter.
-// ---------------------------------------------------------------------------------------
 
 ScanGeometry ObsGeometry() {
   ScanGeometry geometry;

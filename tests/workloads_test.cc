@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <ostream>
 #include <unordered_set>
 
 #include "src/workloads/graph500.h"
@@ -77,37 +80,6 @@ TEST(PmbenchTest, ReadWriteRatioRespected) {
   EXPECT_NEAR(stores, kOps * 0.3, kOps * 0.02);
 }
 
-TEST(PmbenchTest, SequentialInitCoversEveryPageFirst) {
-  Process process = MakeProcess();
-  Rng rng(4);
-  PmbenchConfig config;
-  config.working_set_bytes = 128 * kBasePageSize;
-  config.sequential_init = true;
-  PmbenchStream stream(config);
-  stream.Init(process, rng);
-  for (uint64_t i = 0; i < 128; ++i) {
-    MemOp op;
-    ASSERT_TRUE(stream.Next(rng, &op));
-    EXPECT_EQ(op.vaddr / kBasePageSize, stream.region_start_vpn() + i);
-    EXPECT_TRUE(op.is_store);
-  }
-}
-
-TEST(PmbenchTest, OpLimitTerminatesStream) {
-  Process process = MakeProcess();
-  Rng rng(5);
-  PmbenchConfig config;
-  config.working_set_bytes = 16 * kBasePageSize;
-  config.op_limit = 100;
-  PmbenchStream stream(config);
-  stream.Init(process, rng);
-  MemOp op;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(stream.Next(rng, &op));
-  }
-  EXPECT_FALSE(stream.Next(rng, &op));
-}
-
 TEST(PmbenchTest, HotVpnsMatchesStrideMapping) {
   Process process = MakeProcess();
   Rng rng(6);
@@ -172,26 +144,71 @@ TEST(PatternsTest, PhaseShiftRotatesHotSet) {
   EXPECT_NE(stream.current_hot_base(), before);
 }
 
-TEST(PatternsTest, ZipfSkewsTowardHotRanks) {
-  Process process = MakeProcess();
-  Rng rng(9);
-  ZipfConfig config;
-  config.working_set_bytes = 1000 * kBasePageSize;
-  config.skew = 0.99;
-  ZipfStream stream(config);
-  stream.Init(process, rng);
+// The op envelope every page stream shares: with a pre-touch, an op limit and a per-op
+// delay set, each stream first stores to every page once, in address order, with no think
+// time, then issues exactly `op_limit` ops charged the delay, then ends.
+struct EnvelopeCase {
+  const char* name;
+  std::function<std::unique_ptr<AccessStream>()> make;
+};
 
-  const uint64_t hottest = stream.VpnForRank(0);
-  uint64_t hottest_hits = 0;
-  constexpr int kOps = 50000;
-  for (int i = 0; i < kOps; ++i) {
-    MemOp op;
-    stream.Next(rng, &op);
-    hottest_hits += (op.vaddr / kBasePageSize == hottest) ? 1 : 0;
-  }
-  // Rank 0 of Zipf(0.99, 1000) draws ~13% of accesses.
-  EXPECT_GT(hottest_hits, static_cast<uint64_t>(kOps) / 20);
+void PrintTo(const EnvelopeCase& c, std::ostream* out) { *out << c.name; }
+
+template <typename Stream, typename Config>
+std::unique_ptr<AccessStream> EnvelopeStream(Config config) {
+  config.working_set_bytes = 96 * kBasePageSize;
+  config.sequential_init = true;
+  config.op_limit = 100;
+  config.per_op_delay = 3 * kMicrosecond;
+  return std::make_unique<Stream>(config);
 }
+
+class PageStreamEnvelopeTest : public testing::TestWithParam<EnvelopeCase> {};
+
+TEST_P(PageStreamEnvelopeTest, PreTouchesEveryPageThenLimitsAndDelaysOps) {
+  Process process = MakeProcess();
+  Rng rng(4);
+  const std::unique_ptr<AccessStream> stream = GetParam().make();
+  stream->Init(process, rng);
+  ASSERT_EQ(process.aspace().total_pages(), 96u);
+
+  MemOp op;
+  uint64_t last_vpn = 0;
+  for (uint64_t i = 0; i < 96; ++i) {
+    ASSERT_TRUE(stream->Next(rng, &op));
+    const uint64_t vpn = op.vaddr / kBasePageSize;
+    ASSERT_NE(process.aspace().FindPage(vpn), nullptr);
+    EXPECT_EQ(op.vaddr % kBasePageSize, 0u);
+    if (i > 0) {
+      EXPECT_GT(vpn, last_vpn) << "pre-touch op " << i;
+    }
+    last_vpn = vpn;
+    EXPECT_TRUE(op.is_store);
+    EXPECT_EQ(op.think_time, 0);
+  }
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(stream->Next(rng, &op)) << "op " << i;
+    EXPECT_NE(process.aspace().FindPage(op.vaddr / kBasePageSize), nullptr);
+    EXPECT_EQ(op.think_time, 3 * kMicrosecond);
+  }
+  EXPECT_FALSE(stream->Next(rng, &op));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, PageStreamEnvelopeTest,
+    testing::Values(
+        EnvelopeCase{"Segmented1",
+                     [] { return EnvelopeStream<SegmentedStream>(SegmentedConfig{}); }},
+        EnvelopeCase{"Segmented7",
+                     [] {
+                       SegmentedConfig config;
+                       config.segments = 7;
+                       return EnvelopeStream<SegmentedStream>(config);
+                     }},
+        EnvelopeCase{"Hotset", [] { return EnvelopeStream<HotsetStream>(HotsetConfig{}); }},
+        EnvelopeCase{"Pmbench",
+                     [] { return EnvelopeStream<PmbenchStream>(PmbenchConfig{}); }}),
+    [](const testing::TestParamInfo<EnvelopeCase>& p) { return p.param.name; });
 
 TEST(Graph500Test, GeneratorBuildsConsistentCsr) {
   Rng rng(10);
@@ -471,7 +488,7 @@ TEST(TenantKvTest, ChurnRotatesTenantPopularity) {
   EXPECT_EQ(hot_tenants.size(), 10u);  // Stride 3 is coprime to 10: full cycle.
 }
 
-// A KV operation replays from a kMaxBurst = 8 slot buffer: the bucket or directory probe
+// A KV operation replays from a ValueBurst of 8 ops: the bucket or directory probe
 // plus one op per value page, so a value may span at most 7 pages, and a value that is not
 // a page multiple can start mid-page, which costs one page more. Init rejects anything
 // larger instead of silently skipping the tail pages.
