@@ -80,6 +80,37 @@ TEST(PmbenchTest, ReadWriteRatioRespected) {
   EXPECT_NEAR(stores, kOps * 0.3, kOps * 0.02);
 }
 
+TEST(PmbenchTest, SequentialInitCoversEveryPageFirst) {
+  Process process = MakeProcess();
+  Rng rng(4);
+  PmbenchConfig config;
+  config.working_set_bytes = 128 * kBasePageSize;
+  config.sequential_init = true;
+  PmbenchStream stream(config);
+  stream.Init(process, rng);
+  for (uint64_t i = 0; i < 128; ++i) {
+    MemOp op;
+    ASSERT_TRUE(stream.Next(rng, &op));
+    EXPECT_EQ(op.vaddr / kBasePageSize, stream.region_start_vpn() + i);
+    EXPECT_TRUE(op.is_store);
+  }
+}
+
+TEST(PmbenchTest, OpLimitTerminatesStream) {
+  Process process = MakeProcess();
+  Rng rng(5);
+  PmbenchConfig config;
+  config.working_set_bytes = 16 * kBasePageSize;
+  config.op_limit = 100;
+  PmbenchStream stream(config);
+  stream.Init(process, rng);
+  MemOp op;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(stream.Next(rng, &op));
+  }
+  EXPECT_FALSE(stream.Next(rng, &op));
+}
+
 TEST(PmbenchTest, HotVpnsMatchesStrideMapping) {
   Process process = MakeProcess();
   Rng rng(6);
