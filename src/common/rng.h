@@ -58,11 +58,6 @@ class Rng {
     return static_cast<uint64_t>((static_cast<__uint128_t>(Next()) * bound) >> 64);
   }
 
-  // Uniform over [lo, hi] inclusive.
-  int64_t NextInRange(int64_t lo, int64_t hi) {
-    return lo + static_cast<int64_t>(NextBelow(static_cast<uint64_t>(hi - lo + 1)));
-  }
-
   // Uniform over [0, 1).
   double NextDouble() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
 
@@ -141,6 +136,8 @@ class ZipfTable {
   }
 
   size_t pieces() const { return outcomes_.size(); }
+  // Piece boundaries are where Outcome() could disagree with Attempt(); no draw names them.
+  // detlint:allow(dead-symbol) ZipfTest.TableMatchesAttemptAroundEveryBoundary needs it
   uint64_t piece_start(size_t piece) const { return starts_[piece]; }
 
  private:

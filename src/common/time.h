@@ -31,12 +31,6 @@ inline constexpr SimTime kNeverTime = -1;
 constexpr double ToSeconds(SimDuration d) { return static_cast<double>(d) / kSecond; }
 constexpr double ToMilliseconds(SimDuration d) { return static_cast<double>(d) / kMillisecond; }
 
-// Converts fractional seconds/milliseconds to SimDuration.
-constexpr SimDuration FromSeconds(double s) { return static_cast<SimDuration>(s * kSecond); }
-constexpr SimDuration FromMilliseconds(double ms) {
-  return static_cast<SimDuration>(ms * kMillisecond);
-}
-
 // Human-readable rendering such as "1.500ms" or "2.000s"; used by benches and logs.
 std::string FormatDuration(SimDuration d);
 

@@ -24,7 +24,6 @@ CandidateFilter::Outcome CandidateFilter::RecordQualifyingCit(PageInfo& page, ui
   if (state->rounds >= required_rounds_) {
     candidates_.Erase(key);
     page.ClearFlag(kPageCandidate);
-    ++admissions_;
     return Outcome::kReadyToPromote;
   }
   return Outcome::kAdvanced;
@@ -35,7 +34,6 @@ bool CandidateFilter::RecordDisqualifyingCit(PageInfo& page) {
     return false;
   }
   page.ClearFlag(kPageCandidate);
-  ++rejections_;
   return candidates_.Erase(KeyFor(page)).has_value();
 }
 

@@ -35,17 +35,11 @@ class CandidateFilter {
   // progress reset. Returns true if the page had been a candidate.
   bool RecordDisqualifyingCit(PageInfo& page);
 
-  bool IsCandidate(const PageInfo& page) const { return page.Has(kPageCandidate); }
-
   size_t size() const { return candidates_.size(); }
   size_t MemoryUsageBytes() const { return candidates_.MemoryUsageBytes(); }
   int required_rounds() const { return required_rounds_; }
 
   void Clear();
-
-  // Cumulative counters for tests and diagnostics.
-  uint64_t admissions() const { return admissions_; }
-  uint64_t rejections() const { return rejections_; }
 
  private:
   struct CandidateState {
@@ -60,8 +54,6 @@ class CandidateFilter {
 
   int required_rounds_;
   XArray<CandidateState> candidates_;
-  uint64_t admissions_ = 0;
-  uint64_t rejections_ = 0;
 };
 
 }  // namespace chronotier

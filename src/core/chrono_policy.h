@@ -39,8 +39,6 @@ class ChronoPolicy : public ScanPolicyBase {
   uint32_t cit_threshold_ms() const { return threshold_ms_; }
   double rate_limit_mbps() const { return rate_limit_mbps_; }
   const CandidateFilter& candidate_filter() const { return filter_; }
-  const PromotionQueue& promotion_queue() const { return queue_; }
-  const DcscCollector& dcsc() const { return dcsc_; }
   const ThrashMonitor& thrash_monitor() const { return thrash_; }
 
   // Instrumentation hook: invoked for every CIT measurement (page, cit_ms). Used by the

@@ -1,7 +1,7 @@
 #include "src/core/dcsc.h"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "src/core/cit.h"
 
@@ -43,11 +43,13 @@ void DcscCollector::Commit(const VictimState& state, uint32_t cit_ms) {
   } else {
     // Huge-page redistribution: the unit's accesses spread over `weight` base pages, so
     // each base page is ~weight-times colder; bucket shift of log2(weight) (9 for 2MB).
-    const int shift = static_cast<int>(std::round(std::log2(static_cast<double>(state.weight))));
+    // `weight` is Vma::UnitPages, 1 or kBasePagesPerHugePage, a power of two, so the
+    // integer log2 is exact: no libm call, and the same shift as round(log2(weight)).
+    static_assert(std::has_single_bit(kBasePagesPerHugePage));
+    const int shift = static_cast<int>(std::bit_width(state.weight)) - 1;
     const int bucket = std::min(Log2Histogram::BucketFor(cit_ms) + shift, map.num_buckets() - 1);
     map.Add(Log2Histogram::BucketLowerBound(bucket), state.weight);
   }
-  ++completed_;
 }
 
 DcscOutputs DcscCollector::Aggregate(uint64_t fast_used_pages, uint64_t slow_used_pages) {

@@ -58,13 +58,6 @@ EstimatorMoments SimulateMaxEstimator(double t0, int n, int trials, Rng& rng) {
   return Simulate(t0, n, trials, rng, MaxEstimate);
 }
 
-double HotMisclassificationProbability(double normalized_period, int n) {
-  if (normalized_period < 1.0) {
-    return 1.0;
-  }
-  return std::pow(1.0 / normalized_period, n);
-}
-
 double MissClassifiedColdMass(const std::function<double(double)>& density, int n,
                               double upper_limit, int steps) {
   // Composite midpoint rule over [1, upper_limit]; the integrand decays like x^{-n}.

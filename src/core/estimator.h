@@ -43,10 +43,6 @@ EstimatorMoments SimulateMaxEstimator(double t0, int n, int trials, Rng& rng);
 
 // --- selection efficiency (Appendix B.2) ---
 
-// Probability that a page with access period `t` (normalized: threshold = 1) is classified
-// hot by an n-round filter: 1 for t < 1, (1/t)^n otherwise (eq. 7).
-double HotMisclassificationProbability(double normalized_period, int n);
-
 // S_f(n) = ∫_1^∞ f(x)·x^{-n} dx for a caller-supplied normalized density f (eq. 9).
 double MissClassifiedColdMass(const std::function<double(double)>& density, int n,
                               double upper_limit = 64.0, int steps = 1 << 16);

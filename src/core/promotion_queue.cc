@@ -9,7 +9,6 @@ bool PromotionQueue::Enqueue(PageInfo& page) {
   page.Set(kPageQueued);
   queue_.push_back(&page);
   ++enqueued_window_;
-  ++total_enqueued_;
   return true;
 }
 
@@ -22,7 +21,6 @@ PageInfo* PromotionQueue::Pop() {
     }
     page->ClearFlag(kPageQueued);
     ++dequeued_window_;
-    ++total_dequeued_;
     return page;
   }
   return nullptr;

@@ -37,15 +37,10 @@ class PromotionQueue {
     dequeued_window_ = 0;
   }
 
-  uint64_t total_enqueued() const { return total_enqueued_; }
-  uint64_t total_dequeued() const { return total_dequeued_; }
-
  private:
   std::deque<PageInfo*> queue_;
   uint64_t enqueued_window_ = 0;
   uint64_t dequeued_window_ = 0;
-  uint64_t total_enqueued_ = 0;
-  uint64_t total_dequeued_ = 0;
 };
 
 }  // namespace chronotier

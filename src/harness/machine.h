@@ -238,7 +238,9 @@ class Machine : private MigrationEnv {
 
   // Ring slots filled by the helper thread rather than by the replay thread, over the
   // machine's life. Depends on the host's idle CPUs, so it is kept out of
-  // ExperimentResult; read it between Run calls.
+  // ExperimentResult, and so out of every output; read it between Run calls. The
+  // StreamFeederEquivalenceTest cases also read it.
+  // detlint:allow(dead-symbol) StreamFeederTest.StreamCallContract needs it
   uint64_t batches_filled_off_thread() const { return feeder_.fills(); }
 
  private:

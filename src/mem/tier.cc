@@ -29,16 +29,6 @@ TierSpec TierSpec::OptanePmem(uint64_t capacity_pages) {
   return spec;
 }
 
-TierSpec TierSpec::CxlMemory(uint64_t capacity_pages) {
-  TierSpec spec;
-  spec.name = "cxl-mem";
-  spec.capacity_pages = capacity_pages;
-  spec.load_latency = 210 * kNanosecond;
-  spec.store_latency = 230 * kNanosecond;
-  spec.migration_bandwidth_bytes_per_sec = 6.0e9;
-  return spec;
-}
-
 MemoryTier::MemoryTier(TierSpec spec) : spec_(std::move(spec)), free_pages_(spec_.capacity_pages) {
   SetDefaultWatermarks();
 }
@@ -60,7 +50,6 @@ void MemoryTier::SetProWatermarkGap(uint64_t gap_pages) {
 bool MemoryTier::TryAllocate(uint64_t pages, bool allow_below_min) {
   const uint64_t floor = (allow_below_min && !strict_min_floor_) ? 0 : watermarks_.min;
   if (free_pages_ < pages || free_pages_ - pages < floor) {
-    ++failed_allocations_;
     return false;
   }
   free_pages_ -= pages;

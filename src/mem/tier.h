@@ -35,7 +35,6 @@ struct TierSpec {
 
   static TierSpec Dram(uint64_t capacity_pages);
   static TierSpec OptanePmem(uint64_t capacity_pages);
-  static TierSpec CxlMemory(uint64_t capacity_pages);
 };
 
 // Linux-style per-node watermarks, in free pages. Demotion triggers when free < high and
@@ -79,9 +78,6 @@ class MemoryTier {
   // Time to copy `bytes` through this tier's migration path.
   SimDuration MigrationCopyTime(uint64_t bytes) const;
 
-  // Cumulative counters (monotonic).
-  uint64_t failed_allocations() const { return failed_allocations_; }
-
   // --- fault & degradation surface (src/fault) ---
 
   // Moves already-allocated frames onto the quarantined list (persistent copy fault on a
@@ -116,7 +112,6 @@ class MemoryTier {
   uint64_t free_pages_;
   uint64_t quarantined_pages_ = 0;
   uint64_t pressure_stolen_pages_ = 0;
-  uint64_t failed_allocations_ = 0;
   bool degraded_ = false;
   bool strict_min_floor_ = false;
 };

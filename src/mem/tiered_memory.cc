@@ -35,8 +35,6 @@ TieredMemory TieredMemory::DramOptane(uint64_t total_pages, double fast_fraction
       TopologySpec::Star({TierSpec::Dram(fast_pages), TierSpec::OptanePmem(slow_pages)}));
 }
 
-NodeId TieredMemory::AllocatePage(NodeId preferred) { return AllocatePages(preferred, 1); }
-
 NodeId TieredMemory::AllocatePages(NodeId preferred, uint64_t pages) {
   if (preferred < 0 || preferred >= num_nodes()) {
     preferred = kFastNode;
@@ -82,22 +80,6 @@ MigrationCost TieredMemory::CostOfMigration(NodeId from, NodeId to, uint64_t byt
   cost.copy_time = std::max(read_side, write_side);
   cost.software_overhead = kMigrationSoftwareOverhead;
   return cost;
-}
-
-uint64_t TieredMemory::total_capacity_pages() const {
-  uint64_t total = 0;
-  for (const auto& tier : tiers_) {
-    total += tier.capacity_pages();
-  }
-  return total;
-}
-
-uint64_t TieredMemory::total_used_pages() const {
-  uint64_t total = 0;
-  for (const auto& tier : tiers_) {
-    total += tier.used_pages();
-  }
-  return total;
 }
 
 }  // namespace chronotier

@@ -79,12 +79,10 @@ class TieredMemory {
     return congestion_[static_cast<size_t>(id)];
   }
 
-  // Allocates one base page preferring `preferred`, falling back to successively slower
-  // nodes (the kernel's default zonelist order). Returns the node allocated from, or
+  // Allocates `pages` contiguous-equivalent base pages on one node (1 for a base page, 512
+  // for a huge page) preferring `preferred`, falling back to successively slower nodes
+  // (the kernel's default zonelist order). Returns the node allocated from, or
   // kInvalidNode if physical memory is exhausted.
-  NodeId AllocatePage(NodeId preferred);
-
-  // Allocates `pages` contiguous-equivalent base pages on one node (for huge pages).
   NodeId AllocatePages(NodeId preferred, uint64_t pages);
 
   void FreePages(NodeId node, uint64_t pages);
@@ -97,9 +95,6 @@ class TieredMemory {
   // Nothing on the promotion/demotion paths may charge this cost directly; submit through
   // MigrationEngine instead.
   MigrationCost CostOfMigration(NodeId from, NodeId to, uint64_t bytes) const;
-
-  uint64_t total_capacity_pages() const;
-  uint64_t total_used_pages() const;
 
   // Fixed per-migration software overhead: unmap, TLB shootdown, remap, LRU bookkeeping.
   static constexpr SimDuration kMigrationSoftwareOverhead = 3 * kMicrosecond;

@@ -81,10 +81,6 @@ class AdmissionController {
   // non-null hooks are consulted by Check and charged by OnAdmit.
   void set_qos_hook(AdmissionQosHook* hook) { qos_ = hook; }
 
-  uint64_t inflight_pages(MigrationSource source) const {
-    return inflight_pages_[static_cast<size_t>(source)];
-  }
-
  private:
   const MigrationEngineConfig* config_;
   AdmissionQosHook* qos_ = nullptr;

@@ -47,7 +47,6 @@ class CopyChannel {
     }
     booking.finish = booking.start + effective;
     cursor_ = booking.finish;
-    busy_ += effective;
     return booking;
   }
 
@@ -56,14 +55,12 @@ class CopyChannel {
   // copy waits it out. Models a device hiccup that moves no bytes.
   void InjectStall(SimTime now, SimDuration stall) {
     cursor_ = std::max(cursor_, now) + stall;
-    ++stalls_injected_;
   }
   // Bandwidth collapse: copies starting before `until` take `factor`x as long.
   void DegradeBandwidth(SimTime until, double factor) {
     degraded_until_ = until;
     degrade_factor_ = factor;
   }
-  uint64_t stalls_injected() const { return stalls_injected_; }
 
   // --- fabric faults (src/fault/fabric_faults) ---
   // Link-down window: the engine must never book on a down link (it routes around or
@@ -75,20 +72,14 @@ class CopyChannel {
     down_until_ = until;
     cursor_ = std::max(cursor_, until);
   }
-  bool down_at(SimTime t) const { return t < down_until_; }
   uint64_t books_while_down() const { return books_while_down_; }
-
-  // Total copy time ever booked (includes copies later invalidated by a dirty abort).
-  SimDuration busy_time() const { return busy_; }
 
  private:
   NodeId lo_ = kInvalidNode;
   NodeId hi_ = kInvalidNode;
   SimTime cursor_ = 0;  // When the last booked copy drains.
-  SimDuration busy_ = 0;
   SimTime degraded_until_ = 0;  // Injected bandwidth-collapse window end.
   double degrade_factor_ = 1.0;
-  uint64_t stalls_injected_ = 0;
   SimTime down_until_ = 0;  // Injected link-down window end (0 = never down).
   uint64_t books_while_down_ = 0;
 };

@@ -120,7 +120,7 @@ class MigrationEngine {
   const MigrationStats& stats() const { return *stats_; }
 
   // Live gauges (not part of the resettable stats): async transactions still copying, and
-  // the target frames they hold reserved. total_used_pages() exceeds the sum of present
+  // the target frames they hold reserved. The tiers' used pages exceed the sum of present
   // pages by exactly `inflight_reserved_pages` while copies are in flight.
   uint64_t inflight_transactions() const { return static_cast<uint64_t>(inflight_.size()); }
   uint64_t inflight_reserved_pages() const { return inflight_reserved_pages_; }

@@ -12,7 +12,6 @@ SimDuration PebsSampler::TakeSample(SimTime now, int32_t pid, uint64_t vpn, Node
     window_samples_ = 0;
   }
   if (window_samples_ >= config_.max_samples_per_sec) {
-    ++samples_throttled_;
     return 0;
   }
   ++window_samples_;
@@ -22,13 +21,6 @@ SimDuration PebsSampler::TakeSample(SimTime now, int32_t pid, uint64_t vpn, Node
     handler_(PebsSample{now, pid, vpn, node, is_store});
   }
   return config_.per_sample_overhead;
-}
-
-void PebsSampler::ResetCounters() {
-  events_seen_ = 0;
-  samples_delivered_ = 0;
-  samples_throttled_ = 0;
-  window_samples_ = 0;
 }
 
 }  // namespace chronotier

@@ -52,7 +52,6 @@ class PebsSampler {
   // jittered countdown has not expired — is inline so the access fast lane pays one
   // decrement, not an out-of-line call per access.
   SimDuration OnAccess(SimTime now, int32_t pid, uint64_t vpn, NodeId node, bool is_store) {
-    ++events_seen_;
     if (until_next_sample_ > 0) {
       --until_next_sample_;
       return 0;
@@ -60,11 +59,7 @@ class PebsSampler {
     return TakeSample(now, pid, vpn, node, is_store);
   }
 
-  uint64_t events_seen() const { return events_seen_; }
   uint64_t samples_delivered() const { return samples_delivered_; }
-  uint64_t samples_throttled() const { return samples_throttled_; }
-
-  void ResetCounters();
 
  private:
   // Slow path of OnAccess: re-arm the gap, apply the per-second throttle, deliver.
@@ -83,10 +78,8 @@ class PebsSampler {
   PebsConfig config_;
   SampleFn handler_;
   Rng gap_rng_{0x9EB5u};
-  uint64_t events_seen_ = 0;
   uint64_t until_next_sample_ = 0;
   uint64_t samples_delivered_ = 0;
-  uint64_t samples_throttled_ = 0;
   // Throttling window.
   SimTime window_start_ = 0;
   uint64_t window_samples_ = 0;

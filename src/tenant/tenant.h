@@ -139,7 +139,6 @@ class TenantRegistry : public AdmissionQosHook {
   int num_tenants() const { return static_cast<int>(accounts_.size()); }
   const TenantAccount& account(int tenant) const;
   const TenantSpec& spec(int tenant) const { return account(tenant).spec; }
-  double total_weight() const { return total_weight_; }
 
   // Process membership. Pids index a dense vector (Machine allocates them densely).
   void AssignProcess(int32_t pid, int tenant);

@@ -38,9 +38,7 @@ class EndpointCongestion {
   // charge to the access.
   SimDuration OnAccess(SimTime now) {
     ++accesses_;
-    const SimDuration backlog = Backlog(now);
-    peak_backlog_ = std::max(peak_backlog_, backlog);
-    const SimDuration delay = std::min(backlog, access_delay_cap_);
+    const SimDuration delay = std::min(Backlog(now), access_delay_cap_);
     if (delay > 0) {
       ++congested_accesses_;
       access_queued_time_ += delay;
@@ -53,7 +51,6 @@ class EndpointCongestion {
   // for every node on a booked copy route).
   void OnMigrationBytes(SimTime now, uint64_t bytes) {
     migration_bytes_ += bytes;
-    peak_backlog_ = std::max(peak_backlog_, Backlog(now));
     Advance(now, bytes);
   }
 
@@ -62,7 +59,6 @@ class EndpointCongestion {
   uint64_t congested_accesses() const { return congested_accesses_; }
   SimDuration access_queued_time() const { return access_queued_time_; }
   uint64_t migration_bytes() const { return migration_bytes_; }
-  SimDuration peak_backlog() const { return peak_backlog_; }
 
  private:
   void Advance(SimTime now, uint64_t bytes) {
@@ -81,7 +77,6 @@ class EndpointCongestion {
   uint64_t congested_accesses_ = 0;
   SimDuration access_queued_time_ = 0;
   uint64_t migration_bytes_ = 0;
-  SimDuration peak_backlog_ = 0;
 };
 
 }  // namespace chronotier

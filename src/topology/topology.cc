@@ -1,7 +1,6 @@
 #include "src/topology/topology.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 
 #include "src/common/check.h"
@@ -13,7 +12,7 @@ namespace {
 // Recursive-descent parser over the tree grammar:
 //   node  := INT | '(' INT (',' node)* ')'
 // The outermost form must be a group (the root must exist even for two nodes: "(1,2)").
-// Whitespace is permitted anywhere; the canonical ToString form emits none.
+// Whitespace is permitted anywhere.
 struct Parser {
   const std::string& text;
   size_t pos = 0;
@@ -43,39 +42,26 @@ struct Parser {
     return true;
   }
 
-  // Parses one node (leaf id or parenthesized group). Appends the node and its subtree to
-  // the accumulators; returns the new node's index via *node_out.
-  bool ParseNode(NodeId parent, std::vector<int64_t>* ids, std::vector<NodeId>* parents,
-                 std::vector<std::vector<NodeId>>* children, NodeId* node_out) {
+  // Parses one node (leaf id or parenthesized group), appending it and then its subtree
+  // to the accumulators in pre-order.
+  bool ParseNode(NodeId parent, std::vector<int64_t>* ids, std::vector<NodeId>* parents) {
     SkipSpace();
-    if (pos < text.size() && text[pos] == '(') {
-      ++pos;
-      int64_t id = 0;
-      if (!ParseInt(&id)) return false;
-      const NodeId node = static_cast<NodeId>(ids->size());
-      ids->push_back(id);
-      parents->push_back(parent);
-      children->emplace_back();
-      SkipSpace();
-      while (pos < text.size() && text[pos] == ',') {
-        ++pos;
-        NodeId child = kInvalidNode;
-        if (!ParseNode(node, ids, parents, children, &child)) return false;
-        (*children)[static_cast<size_t>(node)].push_back(child);
-        SkipSpace();
-      }
-      if (pos >= text.size() || text[pos] != ')') return Fail("expected ')' or ','");
-      ++pos;
-      *node_out = node;
-      return true;
-    }
+    const bool group = pos < text.size() && text[pos] == '(';
+    if (group) ++pos;
     int64_t id = 0;
     if (!ParseInt(&id)) return false;
     const NodeId node = static_cast<NodeId>(ids->size());
     ids->push_back(id);
     parents->push_back(parent);
-    children->emplace_back();
-    *node_out = node;
+    if (!group) return true;
+    SkipSpace();
+    while (pos < text.size() && text[pos] == ',') {
+      ++pos;
+      if (!ParseNode(node, ids, parents)) return false;
+      SkipSpace();
+    }
+    if (pos >= text.size() || text[pos] != ')') return Fail("expected ')' or ','");
+    ++pos;
     return true;
   }
 };
@@ -112,13 +98,11 @@ bool Topology::Build(const TopologySpec& spec, Topology* out, std::string* error
   Parser parser(spec.tree);
   std::vector<int64_t> ids;
   std::vector<NodeId> parents;
-  std::vector<std::vector<NodeId>> children;
   parser.SkipSpace();
   if (parser.pos >= spec.tree.size() || spec.tree[parser.pos] != '(') {
     return fail("topology must start with '(' (the root group)");
   }
-  NodeId root = kInvalidNode;
-  if (!parser.ParseNode(kInvalidNode, &ids, &parents, &children, &root)) {
+  if (!parser.ParseNode(kInvalidNode, &ids, &parents)) {
     return fail(parser.error);
   }
   parser.SkipSpace();
@@ -157,7 +141,6 @@ bool Topology::Build(const TopologySpec& spec, Topology* out, std::string* error
 
   out->spec_ = spec;
   out->parent_ = std::move(parents);
-  out->children_ = std::move(children);
   out->topo_id_.resize(n);
   for (size_t i = 0; i < n; ++i) out->topo_id_[i] = static_cast<int>(ids[i]);
   out->depth_.assign(n, 0);
@@ -214,29 +197,6 @@ void Topology::BuildEdgeIndex() {
   }
 }
 
-int Topology::HopDistance(NodeId a, NodeId b) const {
-  if (a == b) return 0;
-  int da = depth(a);
-  int db = depth(b);
-  int hops = 0;
-  while (da > db) {
-    a = parent(a);
-    --da;
-    ++hops;
-  }
-  while (db > da) {
-    b = parent(b);
-    --db;
-    ++hops;
-  }
-  while (a != b) {
-    a = parent(a);
-    b = parent(b);
-    hops += 2;
-  }
-  return hops;
-}
-
 std::vector<NodeId> Topology::Route(NodeId a, NodeId b) const {
   if (a == b) return {a};
   if (EdgeIndex(a, b) >= 0) return {a, b};
@@ -276,26 +236,6 @@ bool Topology::PathIsUp(const std::vector<NodeId>& path,
     }
   }
   return true;
-}
-
-std::string Topology::ToString() const {
-  std::ostringstream os;
-  // Pre-order render; a node with children becomes a group, a leaf a bare id.
-  const std::function<void(NodeId)> render = [&](NodeId node) {
-    const auto& kids = children_[static_cast<size_t>(node)];
-    if (kids.empty() && node != 0) {
-      os << topo_id(node);
-      return;
-    }
-    os << '(' << topo_id(node);
-    for (NodeId child : kids) {
-      os << ',';
-      render(child);
-    }
-    os << ')';
-  };
-  render(0);
-  return os.str();
 }
 
 std::vector<TierSpec> Topology::TierSpecs() const {

@@ -87,7 +87,6 @@ class Topology {
   // Tree accessors (the root has depth 0 and parent kInvalidNode).
   NodeId parent(NodeId node) const { return parent_[static_cast<size_t>(node)]; }
   int depth(NodeId node) const { return depth_[static_cast<size_t>(node)]; }
-  int topo_id(NodeId node) const { return topo_id_[static_cast<size_t>(node)]; }
 
   // Edges as unordered (lo, hi) pairs in the engine's channel order.
   const std::vector<std::pair<NodeId, NodeId>>& edges() const { return edges_; }
@@ -97,8 +96,6 @@ class Topology {
                        static_cast<size_t>(b)];
   }
 
-  // Number of links on the path between two nodes (0 for a == b, 1 when adjacent).
-  int HopDistance(NodeId a, NodeId b) const;
   // Inclusive node path a -> ... -> b (through the tree LCA); {a, b} when adjacent.
   std::vector<NodeId> Route(NodeId a, NodeId b) const;
   // Whether no link along `path` (a Route()) is kDown; a degraded link still carries
@@ -115,9 +112,6 @@ class Topology {
   // The node's link bandwidth (congestion service rate and copy bandwidth), bytes/sec.
   double link_bandwidth(NodeId node) const { return spec_.bandwidth[static_cast<size_t>(node)]; }
 
-  // Canonical round-trip form of the tree ("(1,(2,3,4))").
-  std::string ToString() const;
-
   // TierSpecs derived from the per-node arrays: the root is "dram", endpoint k "cxl<k>".
   std::vector<TierSpec> TierSpecs() const;
 
@@ -129,8 +123,7 @@ class Topology {
   TopologySpec spec_;
   std::vector<NodeId> parent_;   // kInvalidNode for the root.
   std::vector<int> depth_;
-  std::vector<int> topo_id_;
-  std::vector<std::vector<NodeId>> children_;  // For ToString.
+  std::vector<int> topo_id_;    // The id each node has in the tree string.
   std::vector<SimDuration> hop_penalty_;
   std::vector<std::pair<NodeId, NodeId>> edges_;
   std::vector<int> edge_index_;  // num_nodes * num_nodes, -1 when not adjacent.

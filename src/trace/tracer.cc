@@ -87,11 +87,6 @@ void Tracer::RecordProvenance(const TraceEvent& event) {
   }
 }
 
-const PageProvenance* Tracer::ProvenanceFor(int32_t pid, uint64_t vpn) const {
-  const auto it = provenance_.find(ProvenanceKey(pid, vpn));
-  return it == provenance_.end() ? nullptr : &it->second;
-}
-
 void Tracer::WriteProvenance(std::ostream& out) const {
   out << "# page provenance: " << provenance_.size() << " sampled pages (1-in-"
       << config_.provenance_sample_period << " sampling, last " << config_.provenance_depth

@@ -113,9 +113,6 @@ class Tracer {
     }
   }
 
-  // Provenance access. Lookup returns null for unsampled pages.
-  const PageProvenance* ProvenanceFor(int32_t pid, uint64_t vpn) const;
-  size_t provenance_page_count() const { return provenance_.size(); }
   // Writes a deterministic, human-readable dump of every sampled page's history.
   void WriteProvenance(std::ostream& out) const;
   bool WriteProvenanceFile(const std::string& path) const;

@@ -26,8 +26,6 @@ Vma::Vma(uint64_t start_vpn, uint64_t num_pages, PageSizeKind kind, int32_t owne
   }
 }
 
-uint64_t Vma::num_groups() const { return group_split_.size(); }
-
 bool Vma::IsGroupSplit(uint64_t group) const {
   if (kind_ != PageSizeKind::kHuge) {
     return true;  // Base mappings behave as fully split.
@@ -130,11 +128,6 @@ const Vma* AddressSpace::FindVma(uint64_t vpn) const {
   return const_cast<AddressSpace*>(this)->FindVma(vpn);
 }
 
-PageInfo* AddressSpace::FindPage(uint64_t vpn) {
-  Vma* vma = FindVma(vpn);
-  return vma != nullptr ? &vma->PageAt(vpn) : nullptr;
-}
-
 PageInfo* AddressSpace::PageByIndex(uint64_t idx) {
   if (idx >= total_pages_) {
     return nullptr;
@@ -144,10 +137,6 @@ PageInfo* AddressSpace::PageByIndex(uint64_t idx) {
       std::upper_bound(vma_page_prefix_.begin(), vma_page_prefix_.end(), idx);
   const size_t vma_index = static_cast<size_t>(it - vma_page_prefix_.begin()) - 1;
   return &vmas_[vma_index]->pages()[idx - vma_page_prefix_[vma_index]];
-}
-
-uint64_t AddressSpace::lowest_vpn() const {
-  return vmas_.empty() ? 0 : vmas_.front()->start_vpn();
 }
 
 }  // namespace chronotier

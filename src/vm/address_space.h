@@ -39,7 +39,6 @@ class Vma {
   // hotness/migration unit for an unsplit group is its head page. Splitting a group makes
   // its base pages independent (Memtis page splitting).
   uint64_t GroupIndex(uint64_t vpn) const { return (vpn - start_vpn_) / kBasePagesPerHugePage; }
-  uint64_t num_groups() const;
   bool IsGroupSplit(uint64_t group) const;
   void SplitGroup(uint64_t group);
 
@@ -96,9 +95,6 @@ class AddressSpace {
   // highest mapping. Returns the starting virtual address.
   uint64_t MapRegion(uint64_t bytes, PageSizeKind kind = PageSizeKind::kBase);
 
-  // Page lookup; nullptr for unmapped addresses.
-  PageInfo* FindPage(uint64_t vpn);
-
   // The idx-th mapped page-table entry (0 <= idx < total_pages()), counting across VMAs in
   // address order. Used by random samplers (DCSC victim selection) on every sample tick, so
   // it resolves through a cached cumulative-pages index (rebuilt on MapRegion) instead of
@@ -122,9 +118,6 @@ class AddressSpace {
   int32_t pid() const { return pid_; }
   const std::vector<std::unique_ptr<Vma>>& vmas() const { return vmas_; }
   std::vector<std::unique_ptr<Vma>>& vmas() { return vmas_; }
-
-  // Lowest mapped vpn (0 when empty); used by scanners.
-  uint64_t lowest_vpn() const;
 
  private:
   int32_t pid_;

@@ -21,23 +21,6 @@ void PageList::PushFront(PageInfo* page) {
   ++size_;
 }
 
-void PageList::PushBack(PageInfo* page) {
-  CHECK(arena_ != nullptr) << "PageList used before set_arena";
-  const uint32_t idx = page->arena;
-  CHECK(idx != kNoPageIndex) << "page not registered with a PageArena";
-  CHECK(page->lru_prev == kNoPageIndex && page->lru_next == kNoPageIndex)
-      << "page is already linked into a list";
-  page->lru_prev = tail_;
-  if (tail_ != kNoPageIndex) {
-    arena_->page(tail_)->lru_next = idx;
-  }
-  tail_ = idx;
-  if (head_ == kNoPageIndex) {
-    head_ = idx;
-  }
-  ++size_;
-}
-
 void PageList::Remove(PageInfo* page) {
   const uint32_t idx = page->arena;
   if (page->lru_prev != kNoPageIndex) {
@@ -56,14 +39,6 @@ void PageList::Remove(PageInfo* page) {
   page->lru_next = kNoPageIndex;
   CHECK_GT(size_, 0u);
   --size_;
-}
-
-PageInfo* PageList::PopBack() {
-  PageInfo* page = Tail();
-  if (page != nullptr) {
-    Remove(page);
-  }
-  return page;
 }
 
 void NodeLru::Insert(PageInfo* page, bool active) {
@@ -99,16 +74,6 @@ void NodeLru::Activate(PageInfo* page) {
   Erase(page);
   active_.PushFront(page);
   page->set_lru_state(LruMembership::kActive);
-}
-
-void NodeLru::Deactivate(PageInfo* page) {
-  if (page->lru_state() == LruMembership::kInactive) {
-    inactive_.Rotate(page);
-    return;
-  }
-  Erase(page);
-  inactive_.PushFront(page);
-  page->set_lru_state(LruMembership::kInactive);
 }
 
 size_t NodeLru::BalanceInactive(double inactive_ratio, size_t max_scan) {

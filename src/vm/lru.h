@@ -29,12 +29,10 @@ class PageList {
   PageArena* arena() const { return arena_; }
 
   void PushFront(PageInfo* page);
-  void PushBack(PageInfo* page);
   void Remove(PageInfo* page);
   // Oldest entry (tail), or nullptr.
   PageInfo* Tail() const { return At(tail_); }
   PageInfo* Head() const { return At(head_); }
-  PageInfo* PopBack();
 
   // Successor of `page` toward the tail, or nullptr (head-to-tail walk order; used by the
   // invariant auditor).
@@ -75,9 +73,8 @@ class NodeLru {
   // Removes `page` from whichever list holds it (no-op if none).
   void Erase(PageInfo* page);
 
-  // Moves a page between lists.
+  // Moves a page to the head of the active list.
   void Activate(PageInfo* page);
-  void Deactivate(PageInfo* page);
 
   // Rebalances: while the inactive list holds fewer than `inactive_ratio`-th of the pages,
   // move pages from the active tail, deactivating those without the accessed bit and

@@ -63,8 +63,10 @@ class PageArena {
   // afterwards), assigning contiguous indices from the next group boundary.
   void RegisterVma(Vma* vma);
 
-  // Registers one standalone page (unit tests and micro-benches that build loose pages
-  // without a VMA). It takes a group of its own.
+  // Registers one standalone page, built loose without a VMA. It takes a group of its
+  // own. Only tests build such pages: the machine registers every page through its VMA,
+  // and no output can stand in for a page list or TLB slot over a handful of loose pages.
+  // detlint:allow(dead-symbol) PageListTest.PushRemovePop needs it
   void RegisterPage(PageInfo* page) { RegisterRun(page, 1); }
 
   Groups groups() const { return Groups(groups_.data()); }

@@ -81,9 +81,6 @@ class RangeScanner {
     offset_ = 0;
   }
 
-  // Fraction of the address space the cursor has advanced through in the current lap.
-  double LapProgress() const;
-
  private:
   AddressSpace* aspace_;
   size_t vma_index_ = 0;  // Index into aspace_->vmas().

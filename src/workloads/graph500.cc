@@ -131,7 +131,6 @@ bool Graph500Stream::Next(Rng& rng, MemOp* op) {
     }
     const uint32_t u = frontier_.front();
     frontier_.pop_front();
-    ++vertices_visited_;
 
     const uint64_t begin = graph_->xadj()[u];
     const uint64_t end = graph_->xadj()[u + 1];

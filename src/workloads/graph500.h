@@ -63,8 +63,6 @@ class Graph500Stream : public AccessStream {
   bool Next(Rng& rng, MemOp* op) override;
 
   const CsrGraph& graph() const { return *graph_; }
-  int roots_completed() const { return roots_completed_; }
-  uint64_t vertices_visited() const { return vertices_visited_; }
 
  private:
   // Virtual addresses of the mapped arrays.
@@ -89,7 +87,6 @@ class Graph500Stream : public AccessStream {
   bool resetting_ = false;
   uint64_t pending_reset_cursor_ = 0;
   int roots_completed_ = 0;
-  uint64_t vertices_visited_ = 0;
 };
 
 }  // namespace chronotier

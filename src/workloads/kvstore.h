@@ -34,12 +34,8 @@ class KvStoreStream : public AccessStream {
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
 
-  bool initialization_done() const { return init_cursor_ >= config_.num_items; }
   uint64_t ops_issued() const { return ops_issued_; }
   uint64_t num_items() const { return config_.num_items; }
-
-  // Address-space geometry (for tests).
-  uint64_t heap_region_vpn() const { return heap_base_ / kBasePageSize; }
 
   // The item id a Gaussian-popularity draw maps to.
   uint64_t DrawKey(Rng& rng) const;

@@ -54,13 +54,8 @@ class TenantKvStream : public AccessStream {
   void Init(Process& process, Rng& rng) override;
   bool Next(Rng& rng, MemOp* op) override;
 
-  bool initialization_done() const { return init_cursor_ >= total_items(); }
   uint64_t ops_issued() const { return ops_issued_; }
   uint64_t total_items() const { return config_.virtual_tenants * config_.items_per_tenant; }
-
-  // Address-space geometry (for tests).
-  uint64_t directory_region_vpn() const { return directory_base_ / kBasePageSize; }
-  uint64_t heap_region_vpn() const { return heap_base_ / kBasePageSize; }
 
   // The tenant a popularity rank maps to in the given churn epoch (pure function; the
   // tests pin the rotation against it).

@@ -97,11 +97,13 @@ TEST_F(AdmissionTest, PerSourceInflightThrottle) {
   // Sources are independent ledgers: reclaim is unaffected by the daemon's backlog.
   EXPECT_EQ(controller_.Check(MigrationClass::kReclaim, MigrationSource::kReclaimDaemon, 0, 3),
             MigrationRefusal::kNone);
-  // Retiring frees the budget again.
+  // Retiring frees the budget again, down to none in flight: an oversized submission
+  // passes once more.
   controller_.OnRetire(MigrationSource::kPolicyDaemon, 6);
   EXPECT_EQ(controller_.Check(MigrationClass::kAsync, MigrationSource::kPolicyDaemon, 0, 3),
             MigrationRefusal::kNone);
-  EXPECT_EQ(controller_.inflight_pages(MigrationSource::kPolicyDaemon), 0u);
+  EXPECT_EQ(controller_.Check(MigrationClass::kAsync, MigrationSource::kPolicyDaemon, 0, 16),
+            MigrationRefusal::kNone);
 }
 
 TEST_F(AdmissionTest, RetireUnderflowIsFatal) {

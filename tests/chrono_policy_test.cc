@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "src/core/chrono_policy.h"
 #include "src/harness/machine.h"
@@ -34,6 +35,12 @@ ChronoRig MakeRig(ChronoConfig config = TestChronoConfig(), uint64_t machine_pag
   ChronoRig rig;
   MachineConfig machine_config = MachineConfig::StandardTwoTier(machine_pages, 0.25);
   machine_config.bandwidth_scale = 64.0;
+  // Policy and tuning events only: the queue and DCSC tests read Chrono's decisions here.
+  machine_config.trace.enabled = true;
+  machine_config.trace.categories =
+      TraceCategoryBit(TraceCategory::kPolicy) | TraceCategoryBit(TraceCategory::kTuning);
+  machine_config.trace.provenance_sample_period = 0;
+  machine_config.trace.telemetry_period = 0;
   auto policy = std::make_unique<ChronoPolicy>(config);
   rig.chrono = policy.get();
   rig.machine = std::make_unique<Machine>(machine_config, std::move(policy));
@@ -50,6 +57,30 @@ ChronoRig MakeRig(ChronoConfig config = TestChronoConfig(), uint64_t machine_pag
   rig.machine->AttachWorkload(*rig.process, std::move(stream), 31);
   rig.machine->Start();
   return rig;
+}
+
+// Events of `type` in the rig's trace; `sum_a` adds up their `a` payloads instead.
+uint64_t CountTraced(ChronoRig& rig, TraceEventType type, bool sum_a = false) {
+  const Tracer& tracer = *rig.machine->tracer();
+  EXPECT_EQ(tracer.overwritten(), 0u) << "trace ring too small for the count";
+  uint64_t total = 0;
+  tracer.ForEachEvent([&](const TraceEvent& event) {
+    if (event.type == type) {
+      total += sum_a ? event.a : 1;
+    }
+  });
+  return total;
+}
+
+// Units DCSC holds as victims right now (PG_probed set).
+std::vector<const PageInfo*> ProbedUnits(ChronoRig& rig) {
+  std::vector<const PageInfo*> probed;
+  rig.process->aspace().ForEachPage([&](Vma&, PageInfo& page) {
+    if (page.Has(kPageProbed)) {
+      probed.push_back(&page);
+    }
+  });
+  return probed;
 }
 
 TEST(ChronoPolicyTest, MeasuresCitOnSlowPages) {
@@ -70,8 +101,8 @@ TEST(ChronoPolicyTest, PromotesThroughQueueAsynchronously) {
   ChronoRig rig = MakeRig();
   rig.machine->Run(10 * kSecond);
   EXPECT_GT(rig.machine->metrics().promoted_pages(), 0u);
-  EXPECT_GT(rig.chrono->promotion_queue().total_enqueued(), 0u);
-  EXPECT_GT(rig.chrono->promotion_queue().total_dequeued(), 0u);
+  EXPECT_GT(CountTraced(rig, TraceEventType::kPolicyEnqueue), 0u);
+  EXPECT_GT(CountTraced(rig, TraceEventType::kPolicyPromote), 0u);
 }
 
 TEST(ChronoPolicyTest, PromotionsRespectRateLimit) {
@@ -80,9 +111,12 @@ TEST(ChronoPolicyTest, PromotionsRespectRateLimit) {
   config.initial_rate_limit_mbps = 8.0;         // 2048 pages/s.
   ChronoRig rig = MakeRig(config);
   rig.machine->Run(4 * kSecond);
-  // Dequeues cannot exceed rate * elapsed (with one drain tick of slack).
+  // Pages the drain submits (each promote event's `a`) cannot exceed rate * elapsed, with
+  // one drain tick of slack.
   const double max_pages = ChronoConfig::PagesPerSecond(8.0) * 4.2;
-  EXPECT_LE(static_cast<double>(rig.chrono->promotion_queue().total_dequeued()), max_pages);
+  const uint64_t submitted = CountTraced(rig, TraceEventType::kPolicyPromote, /*sum_a=*/true);
+  EXPECT_GT(submitted, 0u);
+  EXPECT_LE(static_cast<double>(submitted), max_pages);
 }
 
 TEST(ChronoPolicyTest, ProWatermarkRaisesDemotionTarget) {
@@ -114,7 +148,9 @@ TEST(ChronoPolicyTest, DcscConvergesThresholdDownward) {
   const uint32_t initial = rig.chrono->cit_threshold_ms();
   rig.machine->Run(20 * kSecond);
   EXPECT_LT(rig.chrono->cit_threshold_ms(), initial);
-  EXPECT_GT(rig.chrono->dcsc().completed_measurements(), 50u);
+  // In DCSC mode only a valid aggregation (at least 8 measurements per tier) traces a
+  // tuning update; one lands every 5 s here.
+  EXPECT_GE(CountTraced(rig, TraceEventType::kTuningUpdate), 3u);
 }
 
 TEST(ChronoPolicyTest, PlacesHotSetBetterThanCapacityBaseline) {
@@ -147,7 +183,7 @@ TEST(ChronoPolicyTest, SemiAutoAdjustsThresholdWithoutDcsc) {
   const uint32_t initial = rig.chrono->cit_threshold_ms();
   rig.machine->Run(12 * kSecond);
   EXPECT_NE(rig.chrono->cit_threshold_ms(), initial);
-  EXPECT_EQ(rig.chrono->dcsc().completed_measurements(), 0u);  // DCSC daemon not running.
+  EXPECT_TRUE(ProbedUnits(rig).empty());  // DCSC daemon not running: no victim probed.
 }
 
 TEST(ChronoPolicyTest, SemiAutoKeepsUserRateLimit) {
@@ -230,11 +266,18 @@ TEST(ChronoPolicyTest, TunedValuesStayWithinBounds) {
 
 TEST(ChronoPolicyTest, DcscVictimsAreProbedAndReleased) {
   ChronoRig rig = MakeRig();
-  rig.machine->Run(5 * kSecond);
-  EXPECT_GT(rig.chrono->dcsc().completed_measurements(), 0u);
+  rig.machine->Run(2 * kSecond);
+  const std::vector<const PageInfo*> early = ProbedUnits(rig);
+  EXPECT_FALSE(early.empty());
+  rig.machine->Run(3 * kSecond);
+  // Victims probed by 2 s cannot expire before 7 s (the 5 s max age), so each one
+  // released by 5 s completed its measurement.
+  const size_t released = static_cast<size_t>(std::count_if(
+      early.begin(), early.end(), [](const PageInfo* page) { return !page->Has(kPageProbed); }));
+  EXPECT_GT(released, 0u);
   // Probed flags must not leak without bound: pending victims stay bounded by a few rounds
   // of the per-process victim quota.
-  EXPECT_LT(rig.chrono->dcsc().pending_victims(), 1000u);
+  EXPECT_LT(ProbedUnits(rig).size(), 1000u);
 }
 
 }  // namespace

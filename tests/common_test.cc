@@ -31,8 +31,6 @@ TEST(TimeTest, Constants) {
 TEST(TimeTest, Conversions) {
   EXPECT_DOUBLE_EQ(ToSeconds(kSecond), 1.0);
   EXPECT_DOUBLE_EQ(ToMilliseconds(kSecond), 1000.0);
-  EXPECT_EQ(FromSeconds(2.5), 2 * kSecond + 500 * kMillisecond);
-  EXPECT_EQ(FromMilliseconds(1.5), kMillisecond + 500 * kMicrosecond);
 }
 
 TEST(TimeTest, FormatDuration) {
@@ -111,21 +109,6 @@ TEST(RngTest, ExponentialMean) {
     stats.Add(rng.NextExponential(4.0));
   }
   EXPECT_NEAR(stats.mean(), 4.0, 0.1);
-}
-
-TEST(RngTest, RangeInclusive) {
-  Rng rng(13);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 10000; ++i) {
-    const int64_t x = rng.NextInRange(-3, 3);
-    EXPECT_GE(x, -3);
-    EXPECT_LE(x, 3);
-    saw_lo |= x == -3;
-    saw_hi |= x == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
 }
 
 TEST(ZipfTest, SkewOrdersRanks) {

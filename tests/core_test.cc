@@ -51,12 +51,11 @@ TEST(CandidateFilterTest, TwoRoundAdmission) {
   page.owner = 1;
 
   EXPECT_EQ(filter.RecordQualifyingCit(page, 10), CandidateFilter::Outcome::kBecameCandidate);
-  EXPECT_TRUE(filter.IsCandidate(page));
+  EXPECT_TRUE(page.Has(kPageCandidate));
   EXPECT_EQ(filter.size(), 1u);
   EXPECT_EQ(filter.RecordQualifyingCit(page, 20), CandidateFilter::Outcome::kReadyToPromote);
-  EXPECT_FALSE(filter.IsCandidate(page));
+  EXPECT_FALSE(page.Has(kPageCandidate));
   EXPECT_EQ(filter.size(), 0u);
-  EXPECT_EQ(filter.admissions(), 1u);
 }
 
 TEST(CandidateFilterTest, DisqualificationResetsProgress) {
@@ -66,8 +65,8 @@ TEST(CandidateFilterTest, DisqualificationResetsProgress) {
   page.owner = 0;
   filter.RecordQualifyingCit(page, 10);
   EXPECT_TRUE(filter.RecordDisqualifyingCit(page));
-  EXPECT_FALSE(filter.IsCandidate(page));
-  EXPECT_EQ(filter.rejections(), 1u);
+  EXPECT_FALSE(page.Has(kPageCandidate));
+  EXPECT_EQ(filter.size(), 0u);
   // Starts over: needs two fresh rounds again.
   EXPECT_EQ(filter.RecordQualifyingCit(page, 5), CandidateFilter::Outcome::kBecameCandidate);
   EXPECT_EQ(filter.RecordQualifyingCit(page, 5), CandidateFilter::Outcome::kReadyToPromote);
@@ -136,8 +135,8 @@ TEST(PromotionQueueTest, FifoWithIdempotentEnqueue) {
   EXPECT_EQ(queue.Pop(), &a);
   EXPECT_EQ(queue.Pop(), &b);
   EXPECT_EQ(queue.Pop(), nullptr);
-  EXPECT_EQ(queue.total_enqueued(), 2u);
-  EXPECT_EQ(queue.total_dequeued(), 2u);
+  EXPECT_EQ(queue.enqueued_in_window(), 2u);
+  EXPECT_EQ(queue.dequeued_in_window(), 2u);
 }
 
 TEST(PromotionQueueTest, InvalidatedEntriesSkipped) {
@@ -162,7 +161,8 @@ TEST(PromotionQueueTest, WindowCounters) {
   EXPECT_EQ(queue.dequeued_in_window(), 1u);
   queue.ResetWindow();
   EXPECT_EQ(queue.enqueued_in_window(), 0u);
-  EXPECT_EQ(queue.total_enqueued(), 4u);  // Totals survive window resets.
+  EXPECT_EQ(queue.dequeued_in_window(), 0u);
+  EXPECT_EQ(queue.size(), 3u);  // The reset drops counts, not queued pages.
 }
 
 // --- semi-auto controller ---
@@ -209,7 +209,6 @@ TEST(DcscTest, TwoRoundMeasurementUsesMax) {
   EXPECT_TRUE(dcsc.OnProbedFault(page, 10 * kMillisecond));
   // Second fault 40ms later: measurement completes with max(10, 40) = 40ms.
   EXPECT_FALSE(dcsc.OnProbedFault(page, 50 * kMillisecond));
-  EXPECT_EQ(dcsc.completed_measurements(), 1u);
   EXPECT_EQ(dcsc.slow_map().total(), 1u);
   EXPECT_EQ(dcsc.slow_map().bucket_count(Log2Histogram::BucketFor(40)), 1u);
   EXPECT_EQ(dcsc.fast_map().total(), 0u);
@@ -231,10 +230,12 @@ TEST(DcscTest, StaleVictimsExpireAsCold) {
   dcsc.AddVictim(page, kSlowNode, 0);
   dcsc.ExpireStale(10 * kSecond, 5 * kSecond, [](PageInfo& p) { p.ClearFlag(kPageProbed); });
   EXPECT_FALSE(page.Has(kPageProbed));
-  EXPECT_EQ(dcsc.pending_victims(), 0u);
   // Censored at >= 10s = 10000ms -> a high bucket.
-  EXPECT_GE(dcsc.slow_map().total(), 1u);
+  EXPECT_EQ(dcsc.slow_map().total(), 1u);
   EXPECT_GT(dcsc.slow_map().Quantile(0.5), 5000.0);
+  // The victim is gone: a late fault finds no state and adds no second measurement.
+  EXPECT_FALSE(dcsc.OnProbedFault(page, 11 * kSecond));
+  EXPECT_EQ(dcsc.slow_map().total(), 1u);
 }
 
 TEST(DcscTest, UnknownProbedFaultIsBenign) {

@@ -526,5 +526,21 @@ TEST(DetlintTree, CleanTreeHasZeroFindings) {
   }
 }
 
+// The same lint without tests/: a src/ function that only a test calls shows up as a
+// dead symbol (DL013) unless its declaration names the test that needs it.
+TEST(DetlintTree, NoSrcFunctionLivesOnlyForTests) {
+  const std::string root = DETLINT_SOURCE_ROOT;
+  Config config;
+  std::string error;
+  ASSERT_TRUE(config.Load(root + "/tools/detlint/detlint.toml", &error)) << error;
+  std::vector<std::string> files;
+  ASSERT_TRUE(CollectSourceFiles(root, {"src", "bench", "examples"}, config, &files, &error))
+      << error;
+  EXPECT_GT(files.size(), 100u);
+  for (const Finding& f : AnalyzeFiles(root, files, config)) {
+    ADD_FAILURE() << f.file << ":" << f.line << " [" << f.rule->id << "] " << f.message;
+  }
+}
+
 }  // namespace
 }  // namespace detlint

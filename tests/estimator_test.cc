@@ -54,14 +54,6 @@ TEST_P(EstimatorMonteCarloTest, VarianceMatchesTheory) {
 
 INSTANTIATE_TEST_SUITE_P(Rounds, EstimatorMonteCarloTest, ::testing::Values(1, 2, 3, 5, 8));
 
-TEST(EfficiencyTest, MisclassificationProbability) {
-  // eq. 7: hot pages always qualify; cold pages qualify with probability (TH/T)^n.
-  EXPECT_DOUBLE_EQ(HotMisclassificationProbability(0.5, 3), 1.0);
-  EXPECT_DOUBLE_EQ(HotMisclassificationProbability(2.0, 1), 0.5);
-  EXPECT_DOUBLE_EQ(HotMisclassificationProbability(2.0, 2), 0.25);
-  EXPECT_DOUBLE_EQ(HotMisclassificationProbability(4.0, 2), 0.0625);
-}
-
 TEST(EfficiencyTest, UniformClosedFormPeaksAtTwo) {
   EXPECT_DOUBLE_EQ(UniformSelectionEfficiency(1), 0.0);
   EXPECT_DOUBLE_EQ(UniformSelectionEfficiency(2), 0.25);

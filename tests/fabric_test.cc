@@ -357,14 +357,15 @@ TEST_F(FabricEngineTest, ScriptedLinkEventOpensWindowThenRestores) {
   // Probe mid-window and after the restore event.
   env_->queue_.ScheduleAt(2 * kMillisecond, [this, edge](SimTime now) {
     EXPECT_EQ(env_->memory_.health().link(edge), LinkHealth::kDown);
-    EXPECT_TRUE(engine_->channel_at(edge).down_at(now));
+    // The channel moves nothing until the window closes at 3 ms.
+    EXPECT_EQ(engine_->channel_at(edge).Backlog(now), 3 * kMillisecond - now);
   });
   Drain();
 
   EXPECT_EQ(stats.links_down, 1u);
   EXPECT_EQ(stats.links_degraded, 0u);
   EXPECT_EQ(env_->memory_.health().link(edge), LinkHealth::kUp);
-  EXPECT_FALSE(engine_->channel_at(edge).down_at(env_->queue_.now()));
+  EXPECT_EQ(engine_->channel_at(edge).Backlog(env_->queue_.now()), 0);
   ExpectNoBookingsWhileDown();
 }
 

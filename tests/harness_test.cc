@@ -104,8 +104,9 @@ TEST(MachineTest, SlowTierAccessesCostMore) {
   const double mean = machine.metrics().read_latency().Mean();
   EXPECT_GT(mean, 80.0);
   EXPECT_LT(mean, 260.0);
-  EXPECT_GT(machine.metrics().slow_accesses(), 0u);
-  EXPECT_GT(machine.metrics().fast_accesses(), 0u);
+  // Both tiers served accesses.
+  EXPECT_GT(machine.metrics().Fmar(), 0.0);
+  EXPECT_LT(machine.metrics().Fmar(), 1.0);
 }
 
 TEST(MachineTest, HintFaultsFireAfterPoison) {
@@ -117,8 +118,12 @@ TEST(MachineTest, HintFaultsFireAfterPoison) {
   machine.Start();
   machine.Run(3 * kSecond);
 
-  EXPECT_GT(machine.metrics().hint_faults(), 0u);
-  EXPECT_GT(machine.metrics().context_switches(), machine.metrics().hint_faults() / 2);
+  const Metrics& metrics = machine.metrics();
+  EXPECT_GT(metrics.hint_faults(), 0u);
+  // More than one context switch per two hint faults, read as rates over the same window.
+  const SimDuration elapsed = machine.now();
+  EXPECT_GT(metrics.ContextSwitchRate(elapsed),
+            static_cast<double>(metrics.hint_faults() / 2) / ToSeconds(elapsed));
 }
 
 TEST(MachineTest, MruPolicyPromotesSlowPages) {
@@ -159,7 +164,9 @@ TEST(MachineTest, FrameAccountingConsistent) {
     }
   });
   EXPECT_EQ(present_pages, 2048u);
-  EXPECT_EQ(machine.memory().total_used_pages(), 2048u);
+  EXPECT_EQ(machine.memory().node(kFastNode).used_pages() +
+                machine.memory().node(kSlowNode).used_pages(),
+            2048u);
   EXPECT_EQ(process.resident_pages(kFastNode), resident_fast);
   EXPECT_EQ(process.resident_pages(kSlowNode), resident_slow);
 }
@@ -219,7 +226,9 @@ TEST(MachineTest, SplitHugeUnitPreservesResidency) {
   }
   EXPECT_EQ(present, kBasePagesPerHugePage);
   EXPECT_EQ(machine.lru(node).total(), kBasePagesPerHugePage);
-  EXPECT_EQ(machine.memory().total_used_pages(), kBasePagesPerHugePage);
+  EXPECT_EQ(machine.memory().node(kFastNode).used_pages() +
+                machine.memory().node(kSlowNode).used_pages(),
+            kBasePagesPerHugePage);
 }
 
 TEST(MachineTest, MigrationEngineRefusesWhenSaturated) {
@@ -400,7 +409,6 @@ TEST(MetricsTest, DerivedQuantities) {
   metrics.CountAccess(true, false, 300);
   EXPECT_DOUBLE_EQ(metrics.Fmar(), 0.5);
   EXPECT_EQ(metrics.total_ops(), 2u);
-  EXPECT_EQ(metrics.app_time(), 400);
 
   metrics.ChargeKernel(KernelWork::kScan, 100);
   metrics.ChargeKernel(KernelWork::kMigration, 300);
@@ -491,7 +499,8 @@ TEST(DemotionWalkTest, InactivePassGivesAnAccessedPageItsSecondChance) {
   NodeLru& lru = machine.lru(kFastNode);
   for (PageInfo* page : pages) {
     ASSERT_EQ(page->node, kFastNode);
-    lru.Deactivate(page);  // pages[0] ends at the inactive tail.
+    lru.Erase(page);
+    lru.Insert(page, /*active=*/false);  // pages[0] ends at the inactive tail.
   }
   pages[0]->Set(kPageAccessed);
 
@@ -516,7 +525,8 @@ TEST(DemotionWalkTest, ParkedReclaimDemotionStaysInDramAndIsNotCounted) {
   const std::vector<PageInfo*> pages = PagesOf(process);
   NodeLru& lru = machine.lru(kFastNode);
   for (PageInfo* page : pages) {
-    lru.Deactivate(page);
+    lru.Erase(page);
+    lru.Insert(page, /*active=*/false);
   }
   PersistentFaultOracle oracle(/*faults=*/1);
   machine.migration().set_fault_oracle(&oracle);
@@ -559,7 +569,8 @@ TEST(DemotionWalkTest, TenantDrainRotatesWithinBudgetActivePages) {
   // pages, app_pages[1].
   NodeLru& lru = machine.lru(kFastNode);
   for (size_t i = 2; i < app_pages.size(); ++i) {
-    lru.Deactivate(app_pages[i]);
+    lru.Erase(app_pages[i]);
+    lru.Insert(app_pages[i], /*active=*/false);
   }
   lru.Activate(app_pages[0]);
   for (PageInfo* page : squat_pages) {
@@ -600,8 +611,10 @@ TEST(DemotionWalkTest, EvacuationStopsAtFirstRefusalBeforeTheActiveList) {
   ASSERT_GE(on_endpoint.size(), 4u);
   NodeLru& lru = machine.lru(1);
   ASSERT_EQ(lru.inactive().size(), 0u);
-  lru.Deactivate(on_endpoint[0]);
-  lru.Deactivate(on_endpoint[1]);
+  lru.Erase(on_endpoint[0]);
+  lru.Insert(on_endpoint[0], /*active=*/false);
+  lru.Erase(on_endpoint[1]);
+  lru.Insert(on_endpoint[1], /*active=*/false);
   const PageInfo* active_tail = lru.active().Tail();
   const size_t active_size = lru.active().size();
 

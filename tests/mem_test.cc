@@ -11,12 +11,10 @@ namespace {
 TEST(TierSpecTest, FactoryLatencyOrdering) {
   const TierSpec dram = TierSpec::Dram(1000);
   const TierSpec pmem = TierSpec::OptanePmem(1000);
-  const TierSpec cxl = TierSpec::CxlMemory(1000);
   EXPECT_LT(dram.load_latency, pmem.load_latency);
   EXPECT_LT(dram.store_latency, pmem.store_latency);
   // Optane's store penalty exceeds its load penalty (on-DIMM buffering asymmetry).
   EXPECT_GT(pmem.store_latency, pmem.load_latency);
-  EXPECT_LT(cxl.load_latency, pmem.load_latency);
 }
 
 TEST(MemoryTierTest, AllocateRelease) {
@@ -35,8 +33,8 @@ TEST(MemoryTierTest, MinWatermarkBlocksNormalAllocation) {
   EXPECT_GT(min, 0u);
   EXPECT_TRUE(tier.TryAllocate(1000 - min));
   EXPECT_FALSE(tier.TryAllocate(1));  // Would dip below min.
+  EXPECT_EQ(tier.free_pages(), min);  // The refusal took nothing.
   EXPECT_TRUE(tier.TryAllocate(1, /*allow_below_min=*/true));
-  EXPECT_EQ(tier.failed_allocations(), 1u);
 }
 
 TEST(MemoryTierTest, WatermarkOrdering) {
@@ -84,29 +82,28 @@ TEST(TieredMemoryTest, DramOptaneSplit) {
   EXPECT_EQ(memory.num_nodes(), 2);
   EXPECT_EQ(memory.node(kFastNode).capacity_pages(), 25000u);
   EXPECT_EQ(memory.node(kSlowNode).capacity_pages(), 75000u);
-  EXPECT_EQ(memory.total_capacity_pages(), 100000u);
 }
 
 TEST(TieredMemoryTest, AllocationPrefersFastThenFallsBack) {
   TieredMemory memory = TieredMemory::DramOptane(2000, 0.5);
   // Exhaust the fast tier (down to its min watermark).
   uint64_t fast_allocated = 0;
-  while (memory.AllocatePage(kFastNode) == kFastNode) {
+  while (memory.AllocatePages(kFastNode, 1) == kFastNode) {
     ++fast_allocated;
   }
   EXPECT_GT(fast_allocated, 900u);
   // Next allocations land on the slow node.
-  EXPECT_EQ(memory.AllocatePage(kFastNode), kSlowNode);
+  EXPECT_EQ(memory.AllocatePages(kFastNode, 1), kSlowNode);
 }
 
 TEST(TieredMemoryTest, ExhaustionReturnsInvalid) {
   TieredMemory memory = TieredMemory::DramOptane(200, 0.5);
   int allocated = 0;
-  while (memory.AllocatePage(kFastNode) != kInvalidNode) {
+  while (memory.AllocatePages(kFastNode, 1) != kInvalidNode) {
     ++allocated;
   }
   EXPECT_EQ(allocated, 200);  // Hard-allocation path drains both tiers fully.
-  EXPECT_EQ(memory.AllocatePage(kFastNode), kInvalidNode);
+  EXPECT_EQ(memory.AllocatePages(kFastNode, 1), kInvalidNode);
 }
 
 TEST(TieredMemoryTest, FreeReturnsPages) {

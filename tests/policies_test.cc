@@ -217,7 +217,10 @@ TEST(MemtisTest, SplitsHotButSparseHugeUnits) {
   // At least one group must have been split (hot counter + <=4 distinct subpage slots).
   int split_groups = 0;
   for (auto& vma : process.aspace().vmas()) {
-    for (uint64_t g = 0; g < vma->num_groups(); ++g) {
+    if (vma->page_kind() != PageSizeKind::kHuge) {
+      continue;  // Base mappings report every "group" split.
+    }
+    for (uint64_t g = 0; g < vma->num_pages() / kBasePagesPerHugePage; ++g) {
       split_groups += vma->IsGroupSplit(g) ? 1 : 0;
     }
   }

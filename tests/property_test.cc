@@ -65,8 +65,11 @@ TEST_P(MachineInvariantTest, FrameAccountingBalances) {
       }
     });
   }
-  EXPECT_EQ(present + machine->migration().inflight_reserved_pages(),
-            machine->memory().total_used_pages());
+  uint64_t used = 0;
+  for (NodeId node = 0; node < machine->memory().num_nodes(); ++node) {
+    used += machine->memory().node(node).used_pages();
+  }
+  EXPECT_EQ(present + machine->migration().inflight_reserved_pages(), used);
 }
 
 TEST_P(MachineInvariantTest, ResidencyCountersMatchPageTables) {
@@ -122,7 +125,10 @@ TEST_P(MachineInvariantTest, MetricsAreInternallyConsistent) {
   const Metrics& metrics = machine->metrics();
   EXPECT_EQ(metrics.total_ops(), metrics.reads() + metrics.writes());
   EXPECT_EQ(metrics.total_ops(), metrics.fast_accesses() + metrics.slow_accesses());
-  EXPECT_GE(metrics.context_switches(), metrics.hint_faults());
+  // At least one context switch per hint fault, read as rates over the same window.
+  const SimDuration elapsed = machine->now();
+  EXPECT_GE(metrics.ContextSwitchRate(elapsed),
+            static_cast<double>(metrics.hint_faults()) / ToSeconds(elapsed));
   EXPECT_GE(metrics.promoted_pages(), 0u);
   // Process clocks never run behind the global clock at quiescence.
   for (auto& process : machine->processes()) {

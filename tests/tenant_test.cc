@@ -208,7 +208,6 @@ TEST(TenantQosProgramTest, FairShareSplitsCapacityByWeight) {
   registry.Configure({heavy, light}, &memory);
   registry.AssignProcess(0, 0);
   registry.AssignProcess(1, 1);
-  EXPECT_DOUBLE_EQ(registry.total_weight(), 4.0);
 
   // heavy's share of the 1000-page fast node is 750, light's is 250.
   registry.AddResident(0, kFastNode, 740);

@@ -6,18 +6,31 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/core/chrono_policy.h"
 #include "src/harness/machine.h"
 #include "src/policies/linux_nb.h"
+#include "src/topology/topology.h"
 #include "src/workloads/patterns.h"
 
 namespace chronotier {
 namespace {
 
+// A CXL expander with the topology's endpoint defaults, as TierSpecs() derives it.
+TierSpec CxlEndpoint(uint64_t pages) {
+  TopologySpec spec;
+  spec.tree = "(1,2)";
+  spec.capacity_pages = {1, pages};
+  Topology topo;
+  std::string error;
+  EXPECT_TRUE(Topology::Build(spec, &topo, &error)) << error;
+  return topo.TierSpecs()[1];
+}
+
 TopologySpec ThreeTierSpec(uint64_t dram, uint64_t cxl, uint64_t pm) {
   return TopologySpec::Star(
-      {TierSpec::Dram(dram), TierSpec::CxlMemory(cxl), TierSpec::OptanePmem(pm)});
+      {TierSpec::Dram(dram), CxlEndpoint(cxl), TierSpec::OptanePmem(pm)});
 }
 
 MachineConfig ThreeTierConfig() {
@@ -35,7 +48,7 @@ TEST(ThreeTierTest, AllocationWalksTheZonelist) {
   int dram = 0;
   int cxl = 0;
   int pm = 0;
-  while ((node = memory.AllocatePage(kFastNode)) != kInvalidNode) {
+  while ((node = memory.AllocatePages(kFastNode, 1)) != kInvalidNode) {
     dram += node == 0 ? 1 : 0;
     cxl += node == 1 ? 1 : 0;
     pm += node == 2 ? 1 : 0;
@@ -103,7 +116,9 @@ TEST(ThreeTierTest, ChronoRunsOnThreeTiers) {
   EXPECT_EQ(process.resident_pages(0) + process.resident_pages(1) +
                 process.resident_pages(2),
             3072u);
-  EXPECT_EQ(machine.memory().total_used_pages(), 3072u);
+  EXPECT_EQ(machine.memory().node(0).used_pages() + machine.memory().node(1).used_pages() +
+                machine.memory().node(2).used_pages(),
+            3072u);
   // The fast tier should carry a hot-biased population (cumulative-from-boot FMAR, so the
   // cold-start window drags it below the steady state).
   EXPECT_GT(machine.metrics().Fmar(), 0.25);
@@ -112,8 +127,9 @@ TEST(ThreeTierTest, ChronoRunsOnThreeTiers) {
 TEST(ThreeTierTest, CxlSpecIsSymmetricIsh) {
   // CXL memory has a much smaller load/store asymmetry than Optane (its penalty is link
   // latency, not media writes).
-  const TierSpec cxl = TierSpec::CxlMemory(10);
+  const TierSpec cxl = CxlEndpoint(10);
   const TierSpec pm = TierSpec::OptanePmem(10);
+  EXPECT_LT(cxl.load_latency, pm.load_latency);
   const double cxl_ratio =
       static_cast<double>(cxl.store_latency) / static_cast<double>(cxl.load_latency);
   const double pm_ratio =

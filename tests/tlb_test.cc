@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <initializer_list>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -27,6 +30,11 @@
 #include "tests/experiment_result_testutil.h"
 
 namespace chronotier {
+
+// gtest finds a parameter's printer by ADL, so it sits in the policy type's namespace:
+// a case prints as its policy's name, not as the factory's bytes.
+static void PrintTo(const NamedPolicyFactory& policy, std::ostream* out) { *out << policy.name; }
+
 namespace {
 
 ScanGeometry FastGeometry() {
@@ -83,10 +91,20 @@ Machine::TlbCounters ExpectTlbEquivalence(ExperimentConfig config,
   return counters;
 }
 
-TEST(TlbEquivalenceTest, AllPoliciesMatchWithTlbOff) {
-  for (const auto& named : StandardPolicySet(FastGeometry())) {
-    ExpectTlbEquivalence(SmallExperiment(), named, GaussianProcs(2));
-  }
+// One case per standard policy, so ctest runs the six in parallel and each fits a
+// sanitizer build's per-test timeout.
+class TlbPolicyEquivalenceTest : public testing::TestWithParam<NamedPolicyFactory> {};
+
+// gtest case names allow only letters, digits and '_': "Linux-NB" -> "Linux_NB".
+std::string PolicyCaseName(const testing::TestParamInfo<NamedPolicyFactory>& info) {
+  std::string name = info.param.name;
+  std::replace_if(name.begin(), name.end(),
+                  [](unsigned char c) { return std::isalnum(c) == 0; }, '_');
+  return name;
+}
+
+TEST_P(TlbPolicyEquivalenceTest, AllPoliciesMatchWithTlbOff) {
+  ExpectTlbEquivalence(SmallExperiment(), GetParam(), GaussianProcs(2));
 }
 
 TEST(TlbEquivalenceTest, NTierTopologyMatchesWithTlbOff) {
@@ -104,7 +122,7 @@ TEST(TlbEquivalenceTest, NTierTopologyMatchesWithTlbOff) {
   }
 }
 
-TEST(TlbEquivalenceTest, SegmentedAddressSpace) {
+TEST_P(TlbPolicyEquivalenceTest, SegmentedAddressSpace) {
   // Many-VMA address space: translations span 12 regions per process and region-hopping
   // defeats the last-hit VMA cache, so the fast lane carries almost every access. Must
   // still be bit-identical to TLB-off, for every policy.
@@ -125,13 +143,15 @@ TEST(TlbEquivalenceTest, SegmentedAddressSpace) {
       {"Linux-NB", 0.9947}, {"AutoTiering", 0.9951}, {"Multi-Clock", 0.9963},
       {"TPP", 0.9952},      {"Memtis", 0.9993},      {"Chrono", 0.9832},
   };
-  for (const auto& named : StandardPolicySet(FastGeometry())) {
-    const Machine::TlbCounters counters = ExpectTlbEquivalence(SmallExperiment(), named, procs);
-    const double hit_rate = static_cast<double>(counters.hits) /
-                            static_cast<double>(counters.hits + counters.misses);
-    EXPECT_GE(hit_rate, recorded_hit_rate.at(named.name) - 0.05) << named.name;
-  }
+  const NamedPolicyFactory& named = GetParam();
+  const Machine::TlbCounters counters = ExpectTlbEquivalence(SmallExperiment(), named, procs);
+  const double hit_rate = static_cast<double>(counters.hits) /
+                          static_cast<double>(counters.hits + counters.misses);
+  EXPECT_GE(hit_rate, recorded_hit_rate.at(named.name) - 0.05) << named.name;
 }
+
+INSTANTIATE_TEST_SUITE_P(Standard, TlbPolicyEquivalenceTest,
+                         testing::ValuesIn(StandardPolicySet(FastGeometry())), PolicyCaseName);
 
 TEST(TlbEquivalenceTest, MigrationHeavySchedule) {
   // Write-heavy working set larger than DRAM: constant promotion/demotion churn plus
@@ -219,9 +239,9 @@ TEST(TlbStaleTranslationTest, PoisonedUnitStillFaults) {
   machine.Start();
   machine.Run(kSecond);
 
-  const uint64_t vpn = process.aspace().lowest_vpn();
-  Vma* vma = process.aspace().FindVma(vpn);
-  ASSERT_NE(vma, nullptr);
+  ASSERT_FALSE(process.aspace().vmas().empty());
+  Vma* vma = process.aspace().vmas().front().get();
+  const uint64_t vpn = vma->start_vpn();
   PageInfo& unit = vma->HotnessUnit(vpn);
 
   // The loop revisits the page constantly, so its translation is cached by now.
@@ -253,8 +273,8 @@ TEST(TlbStaleTranslationTest, HugeSplitRemapsTailVpns) {
   machine.Start();
   machine.Run(kSecond);
 
-  const uint64_t base_vpn = process.aspace().lowest_vpn();
-  const uint64_t tail_vpn = base_vpn + 5;
+  ASSERT_FALSE(process.aspace().vmas().empty());
+  const uint64_t tail_vpn = process.aspace().vmas().front()->start_vpn() + 5;
   Vma* vma = process.aspace().FindVma(tail_vpn);
   ASSERT_NE(vma, nullptr);
   PageInfo& head = vma->HotnessUnit(tail_vpn);

@@ -48,8 +48,7 @@ TEST(TopologyParseTest, TwoNodeTree) {
   EXPECT_EQ(topo.parent(1), 0);
   EXPECT_EQ(topo.depth(0), 0);
   EXPECT_EQ(topo.depth(1), 1);
-  EXPECT_EQ(topo.topo_id(0), 1);
-  EXPECT_EQ(topo.topo_id(1), 2);
+  EXPECT_EQ(topo.TierSpecs()[1].name, "cxl2");  // Named by its id in the tree string.
   EXPECT_EQ(topo.edges().size(), 1u);
 }
 
@@ -58,8 +57,8 @@ TEST(TopologyParseTest, NestedTreeAssignsPreOrderIdsAndDepths) {
   const Topology topo = MustBuild(Spec("(1,(2,3,4))", 4));
   EXPECT_EQ(topo.num_nodes(), 4);
   // Pre-order: node 0 = id 1, node 1 = id 2, node 2 = id 3, node 3 = id 4.
-  EXPECT_EQ(topo.topo_id(1), 2);
-  EXPECT_EQ(topo.topo_id(2), 3);
+  EXPECT_EQ(topo.TierSpecs()[1].name, "cxl2");
+  EXPECT_EQ(topo.TierSpecs()[2].name, "cxl3");
   EXPECT_EQ(topo.parent(1), 0);
   EXPECT_EQ(topo.parent(2), 1);
   EXPECT_EQ(topo.parent(3), 1);
@@ -72,27 +71,43 @@ TEST(TopologyParseTest, NestedTreeAssignsPreOrderIdsAndDepths) {
   EXPECT_LT(topo.EdgeIndex(2, 3), 0);
 }
 
-TEST(TopologyParseTest, WhitespaceIsPermitted) {
-  const Topology topo = MustBuild(Spec(" ( 1 , ( 2 , 3 ) , 4 ) ", 4));
-  EXPECT_EQ(topo.num_nodes(), 4);
-  EXPECT_EQ(topo.ToString(), "(1,(2,3),4)");
+// Node ids by pre-order index and each node's parent index (-1 for the root).
+struct ParsedShape {
+  std::vector<std::string> names;
+  std::vector<NodeId> parents;
+};
+
+ParsedShape ShapeOf(const Topology& topo) {
+  ParsedShape shape;
+  for (const TierSpec& spec : topo.TierSpecs()) shape.names.push_back(spec.name);
+  for (NodeId i = 0; i < topo.num_nodes(); ++i) shape.parents.push_back(topo.parent(i));
+  return shape;
 }
 
-TEST(TopologyParseTest, ToStringRoundTrips) {
-  for (const std::string tree :
-       {"(1,2)", "(1,(2,3,4))", "(1,(2,3),(4,5))", "(1,(2,(4,(6,8))),(3,(5,(7,9))))"}) {
-    size_t nodes = 0;
-    for (char c : tree) {
-      nodes += (c >= '0' && c <= '9') ? 1 : 0;  // All ids are single-digit here.
-    }
-    const Topology topo = MustBuild(Spec(tree, nodes));
-    EXPECT_EQ(topo.ToString(), tree);
-    // Parsing the canonical form again yields the same structure.
-    TopologySpec again = Spec(topo.ToString(), nodes);
-    const Topology topo2 = MustBuild(again);
-    EXPECT_EQ(topo2.ToString(), tree);
-    EXPECT_EQ(topo2.num_nodes(), topo.num_nodes());
-    EXPECT_EQ(topo2.edges(), topo.edges());
+TEST(TopologyParseTest, WhitespaceIsPermitted) {
+  const ParsedShape spaced = ShapeOf(MustBuild(Spec(" ( 1 , ( 2 , 3 ) , 4 ) ", 4)));
+  const ParsedShape plain = ShapeOf(MustBuild(Spec("(1,(2,3),4)", 4)));
+  EXPECT_EQ(spaced.names, (std::vector<std::string>{"dram", "cxl2", "cxl3", "cxl4"}));
+  EXPECT_EQ(spaced.parents, (std::vector<NodeId>{kInvalidNode, 0, 1, 0}));
+  EXPECT_EQ(spaced.names, plain.names);
+  EXPECT_EQ(spaced.parents, plain.parents);
+}
+
+TEST(TopologyParseTest, DeepTreesKeepEveryParentLink) {
+  struct Case {
+    std::string tree;
+    std::vector<NodeId> parents;  // By pre-order index.
+  };
+  const Case cases[] = {
+      {"(1,2)", {kInvalidNode, 0}},
+      {"(1,(2,3,4))", {kInvalidNode, 0, 1, 1}},
+      {"(1,(2,3),(4,5))", {kInvalidNode, 0, 1, 0, 3}},
+      {"(1,(2,(4,(6,8))),(3,(5,(7,9))))", {kInvalidNode, 0, 1, 2, 3, 0, 5, 6, 7}},
+  };
+  for (const Case& c : cases) {
+    const Topology topo = MustBuild(Spec(c.tree, c.parents.size()));
+    EXPECT_EQ(ShapeOf(topo).parents, c.parents) << c.tree;
+    EXPECT_EQ(topo.edges().size(), c.parents.size() - 1) << c.tree;  // One link per child.
   }
 }
 
@@ -145,12 +160,12 @@ TEST(TopologyParseTest, DefaultsFillLatencyAndBandwidth) {
 }
 
 TEST(TopologyRouteTest, HopDistanceAndRoutes) {
-  // 1 - 2 - 3 chain plus 4 under the root: (1,(2,3),4).
+  // 1 - 2 - 3 chain plus 4 under the root: (1,(2,3),4). A route of k links has k + 1 nodes.
   const Topology topo = MustBuild(Spec("(1,(2,3),4)", 4));
-  EXPECT_EQ(topo.HopDistance(0, 0), 0);
-  EXPECT_EQ(topo.HopDistance(0, 1), 1);
-  EXPECT_EQ(topo.HopDistance(0, 2), 2);
-  EXPECT_EQ(topo.HopDistance(2, 3), 3);  // 3 -> 2 -> 1(root) -> 4.
+  EXPECT_EQ(topo.Route(0, 0).size() - 1, 0u);
+  EXPECT_EQ(topo.Route(0, 1).size() - 1, 1u);
+  EXPECT_EQ(topo.Route(0, 2).size() - 1, 2u);
+  EXPECT_EQ(topo.Route(2, 3).size() - 1, 3u);  // 3 -> 2 -> 1(root) -> 4.
   EXPECT_EQ(topo.Route(0, 1), (std::vector<NodeId>{0, 1}));
   EXPECT_EQ(topo.Route(2, 0), (std::vector<NodeId>{2, 1, 0}));
   EXPECT_EQ(topo.Route(2, 3), (std::vector<NodeId>{2, 1, 0, 3}));
@@ -200,7 +215,6 @@ TEST(CongestionTest, ChargesCappedBacklogDeterministically) {
   EXPECT_EQ(link.OnAccess(0), 4 * kMicrosecond);
   EXPECT_EQ(link.congested_accesses(), 1u);
   EXPECT_EQ(link.access_queued_time(), 4 * kMicrosecond);
-  EXPECT_EQ(link.peak_backlog(), backlog);
   // After the backlog drains, accesses are free again.
   const SimTime later = 10 * kMillisecond;
   EXPECT_EQ(link.Backlog(later), 0);
@@ -336,7 +350,7 @@ TEST(TopologyMachineTest, BandwidthIsScaledOnce) {
   Machine machine(two_tier, TopologyPolicySet()[0].make());
   const TieredMemory& memory = machine.memory();
   const Topology& topo = memory.topology();
-  EXPECT_EQ(topo.ToString(), "(1,2)");
+  EXPECT_EQ(topo.spec().tree, "(1,2)");
   EXPECT_EQ(memory.num_nodes(), 2);
   EXPECT_EQ(topo.edges().size(), 1u);
   EXPECT_FALSE(topo.congestion_enabled());

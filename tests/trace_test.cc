@@ -140,23 +140,25 @@ TEST(ObservabilityTest, ProvenanceKeepsBoundedHistoryPerSampledPage) {
     tracer.Emit(TraceCategory::kFault, TraceEventType::kHintFault, i * kMillisecond,
                 /*pid=*/3, /*vpn=*/0x42);
   }
-  const PageProvenance* page = tracer.ProvenanceFor(3, 0x42);
-  ASSERT_NE(page, nullptr);
-  EXPECT_EQ(page->total_events, 10u);
-  EXPECT_EQ(page->recent.size(), 4u);
-  // Bounded history keeps the newest 4, oldest-to-newest.
-  std::vector<SimTime> ts;
-  page->ForEach([&ts](const TraceEvent& event) { ts.push_back(event.ts); });
-  ASSERT_EQ(ts.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(ts[i], (6 + i) * kMillisecond);
-  }
-  EXPECT_EQ(tracer.ProvenanceFor(3, 0x43), nullptr);  // Never touched.
+  tracer.Emit(TraceCategory::kFault, TraceEventType::kHintFault, 10 * kMillisecond,
+              /*pid=*/4, /*vpn=*/0x43);
 
+  // One page per sampled (pid, vpn); the bounded history keeps the newest 4 of the 10,
+  // oldest-to-newest.
   std::ostringstream dump;
   tracer.WriteProvenance(dump);
-  EXPECT_NE(dump.str().find("# page provenance: 1 sampled pages"), std::string::npos);
-  EXPECT_NE(dump.str().find("vpn=0x42"), std::string::npos);
+  std::istringstream lines(dump.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line.rfind("# page provenance: 2 sampled pages", 0), 0u) << line;
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "page pid=3 vpn=0x42 events=10 (showing last 4)");
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line.rfind("  " + std::to_string(6 + i) + "ms ", 0), 0u) << line;
+  }
+  ASSERT_TRUE(std::getline(lines, line));
+  EXPECT_EQ(line, "page pid=4 vpn=0x43 events=1");
 }
 
 TEST(ObservabilityTest, ProvenanceDisabledWhenPeriodZero) {
@@ -166,7 +168,10 @@ TEST(ObservabilityTest, ProvenanceDisabledWhenPeriodZero) {
   config.telemetry_period = 0;
   Tracer tracer(config);
   tracer.Emit(TraceCategory::kFault, TraceEventType::kHintFault, 0, 0, 0x42);
-  EXPECT_EQ(tracer.provenance_page_count(), 0u);
+  std::ostringstream dump;
+  tracer.WriteProvenance(dump);
+  EXPECT_EQ(dump.str().rfind("# page provenance: 0 sampled pages", 0), 0u) << dump.str();
+  EXPECT_EQ(dump.str().find("page pid="), std::string::npos);
 }
 
 TEST(ObservabilityTest, TelemetrySamplerHonorsPeriod) {

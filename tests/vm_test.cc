@@ -42,18 +42,24 @@ TEST(PageListTest, PushRemovePop) {
   arena.RegisterPage(&a);
   arena.RegisterPage(&b);
   arena.RegisterPage(&c);
+  list.PushFront(&c);
   list.PushFront(&a);
   list.PushFront(&b);
-  list.PushBack(&c);
   // Order (head->tail): b, a, c.
   EXPECT_EQ(list.size(), 3u);
   EXPECT_EQ(list.Head(), &b);
   EXPECT_EQ(list.Tail(), &c);
+  EXPECT_EQ(list.Next(&b), &a);
   list.Remove(&a);
   EXPECT_EQ(list.size(), 2u);
-  EXPECT_EQ(list.PopBack(), &c);
-  EXPECT_EQ(list.PopBack(), &b);
-  EXPECT_EQ(list.PopBack(), nullptr);
+  EXPECT_EQ(list.Next(&b), &c);
+  // Popping from the tail, oldest first.
+  for (PageInfo* expected : {&c, &b}) {
+    PageInfo* tail = list.Tail();
+    EXPECT_EQ(tail, expected);
+    list.Remove(tail);
+  }
+  EXPECT_EQ(list.Tail(), nullptr);
   EXPECT_TRUE(list.empty());
 }
 
@@ -81,7 +87,8 @@ TEST(NodeLruTest, InsertEraseActivateDeactivate) {
   lru.Insert(&page, /*active=*/true);
   EXPECT_EQ(page.lru_state(), LruMembership::kActive);
   EXPECT_EQ(lru.active().size(), 1u);
-  lru.Deactivate(&page);
+  lru.Erase(&page);
+  lru.Insert(&page, /*active=*/false);
   EXPECT_EQ(page.lru_state(), LruMembership::kInactive);
   EXPECT_EQ(lru.inactive().size(), 1u);
   lru.Activate(&page);
@@ -120,11 +127,13 @@ TEST(AddressSpaceTest, MapRegionAndLookup) {
   const uint64_t addr = aspace.MapRegion(1 << 20);  // 256 pages.
   const uint64_t vpn = addr / kBasePageSize;
   EXPECT_EQ(aspace.total_pages(), 256u);
-  ASSERT_NE(aspace.FindPage(vpn), nullptr);
-  ASSERT_NE(aspace.FindPage(vpn + 255), nullptr);
-  EXPECT_EQ(aspace.FindPage(vpn + 256), nullptr);
-  EXPECT_EQ(aspace.FindPage(vpn)->owner, 1);
-  EXPECT_EQ(aspace.FindPage(vpn)->vpn, vpn);
+  Vma* vma = aspace.FindVma(vpn);
+  ASSERT_NE(vma, nullptr);
+  EXPECT_EQ(aspace.FindVma(vpn + 255), vma);
+  EXPECT_EQ(aspace.FindVma(vpn + 256), nullptr);
+  EXPECT_EQ(vma->PageAt(vpn).owner, 1);
+  EXPECT_EQ(vma->PageAt(vpn).vpn, vpn);
+  EXPECT_EQ(vma->PageAt(vpn + 255).vpn, vpn + 255);
 }
 
 TEST(AddressSpaceTest, MultipleRegionsDisjoint) {
@@ -196,7 +205,7 @@ TEST(VmaTest, HugeMappingGroupsAndHeads) {
   Vma* vma = aspace.FindVma(addr / kBasePageSize);
   ASSERT_NE(vma, nullptr);
   EXPECT_EQ(vma->num_pages(), 4 * kBasePagesPerHugePage);
-  EXPECT_EQ(vma->num_groups(), 4u);
+  EXPECT_FALSE(vma->IsGroupSplit(3));  // The fourth group exists, unsplit.
   // Alignment: start vpn is a multiple of 512.
   EXPECT_EQ(vma->start_vpn() % kBasePagesPerHugePage, 0u);
 
@@ -281,15 +290,6 @@ TEST(ScannerTest, EmptySpaceIsSafe) {
   RangeScanner scanner(&aspace);
   const auto result = scanner.ScanChunk(100, [](Vma&, PageInfo&) { FAIL(); });
   EXPECT_EQ(result.units_visited, 0u);
-}
-
-TEST(ScannerTest, LapProgressAdvances) {
-  AddressSpace aspace(0);
-  aspace.MapRegion(100 * kBasePageSize);
-  RangeScanner scanner(&aspace);
-  EXPECT_DOUBLE_EQ(scanner.LapProgress(), 0.0);
-  scanner.ScanChunk(50, [](Vma&, PageInfo&) {});
-  EXPECT_NEAR(scanner.LapProgress(), 0.5, 0.01);
 }
 
 // --- Process ---

@@ -208,7 +208,7 @@ TEST_P(PageStreamEnvelopeTest, PreTouchesEveryPageThenLimitsAndDelaysOps) {
   for (uint64_t i = 0; i < 96; ++i) {
     ASSERT_TRUE(stream->Next(rng, &op));
     const uint64_t vpn = op.vaddr / kBasePageSize;
-    ASSERT_NE(process.aspace().FindPage(vpn), nullptr);
+    ASSERT_NE(process.aspace().FindVma(vpn), nullptr);
     EXPECT_EQ(op.vaddr % kBasePageSize, 0u);
     if (i > 0) {
       EXPECT_GT(vpn, last_vpn) << "pre-touch op " << i;
@@ -219,7 +219,7 @@ TEST_P(PageStreamEnvelopeTest, PreTouchesEveryPageThenLimitsAndDelaysOps) {
   }
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(stream->Next(rng, &op)) << "op " << i;
-    EXPECT_NE(process.aspace().FindPage(op.vaddr / kBasePageSize), nullptr);
+    EXPECT_NE(process.aspace().FindVma(op.vaddr / kBasePageSize), nullptr);
     EXPECT_EQ(op.think_time, 3 * kMicrosecond);
   }
   EXPECT_FALSE(stream->Next(rng, &op));
@@ -288,14 +288,27 @@ TEST(Graph500Test, StreamVisitsVerticesAndTerminates) {
   stream.Init(process, rng);
   EXPECT_GT(process.aspace().total_pages(), 0u);
 
+  // xadj[] opens the mapping; a vertex visit reads its two offsets xadj[u] and xadj[u + 1].
+  const uint64_t xadj_lo = process.aspace().vmas().front()->start_vpn() * kBasePageSize;
+  const uint64_t xadj_hi = xadj_lo + (stream.graph().num_vertices() + 1) * 8;
   MemOp op;
   uint64_t ops = 0;
-  while (stream.Next(rng, &op) && ops < 50000000) {
+  uint64_t xadj_reads = 0;
+  bool ended = false;
+  while (ops < 50000000) {
+    if (!stream.Next(rng, &op)) {
+      ended = true;
+      break;
+    }
     ++ops;
-    ASSERT_NE(process.aspace().FindPage(op.vaddr / kBasePageSize), nullptr);
+    ASSERT_NE(process.aspace().FindVma(op.vaddr / kBasePageSize), nullptr);
+    if (op.vaddr >= xadj_lo && op.vaddr < xadj_hi) {
+      EXPECT_FALSE(op.is_store);
+      ++xadj_reads;
+    }
   }
-  EXPECT_GT(stream.vertices_visited(), 500u);  // BFS reaches the giant component.
-  EXPECT_EQ(stream.roots_completed(), 2);
+  EXPECT_TRUE(ended) << "the stream ends after its num_roots traversals";
+  EXPECT_GT(xadj_reads / 2, 500u);  // BFS reaches the giant component.
   EXPECT_GT(ops, 10000u);
 }
 
@@ -335,31 +348,26 @@ TEST(KvStoreTest, InitializationIsSequentialStores) {
   KvStoreConfig config;
   config.num_items = 100;
   config.value_bytes = 256;
+  config.set_fraction = 0.0;  // GET-only after init: the first load ends the init phase.
   KvStoreStream stream(config);
   stream.Init(process, rng);
+  // The bucket array is the first mapping, the item heap the second.
+  const uint64_t heap_lo = process.aspace().vmas()[1]->start_vpn() * kBasePageSize;
 
   MemOp op;
   uint64_t last_item_addr = 0;
   int item_ops = 0;
-  // Drain the init phase plus the final item's buffered burst.
-  for (int i = 0; i < 3; ++i) {
-    while (!stream.initialization_done() || i > 0) {
-      if (stream.initialization_done() && i == 0) {
-        break;
-      }
-      ASSERT_TRUE(stream.Next(rng, &op));
-      if (i > 0) {
-        break;  // One extra op per drain round.
-      }
-      EXPECT_TRUE(op.is_store);
-      if (op.vaddr >= stream.heap_region_vpn() * kBasePageSize) {
-        EXPECT_GE(op.vaddr, last_item_addr);  // Monotone heap addresses.
-        last_item_addr = op.vaddr;
-        ++item_ops;
-      }
+  ASSERT_TRUE(stream.Next(rng, &op));
+  while (op.is_store) {
+    if (op.vaddr >= heap_lo) {
+      EXPECT_GE(op.vaddr, last_item_addr);  // Monotone heap addresses.
+      last_item_addr = op.vaddr;
+      ++item_ops;
     }
+    ASSERT_TRUE(stream.Next(rng, &op));
   }
-  EXPECT_GE(item_ops, 99);
+  EXPECT_EQ(stream.ops_issued(), 1u);  // The first load is the first driver op's.
+  EXPECT_GE(item_ops, 100);
 }
 
 TEST(KvStoreTest, GetTouchesBucketAndValue) {
@@ -371,20 +379,21 @@ TEST(KvStoreTest, GetTouchesBucketAndValue) {
   config.set_fraction = 0.0;  // GET-only after init.
   KvStoreStream stream(config);
   stream.Init(process, rng);
+  const uint64_t heap_vpn = process.aspace().vmas()[1]->start_vpn();
   MemOp op;
-  while (!stream.initialization_done()) {
-    stream.Next(rng, &op);
-  }
-  // Drain any leftover init burst, then check a full GET burst: it must touch both the
+  // Drain the init phase (all stores), then check a full GET burst: it must touch both the
   // bucket array and the item heap, with loads only.
+  do {
+    ASSERT_TRUE(stream.Next(rng, &op));
+  } while (op.is_store);
   bool saw_bucket = false;
   bool saw_heap = false;
   for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(stream.Next(rng, &op));
-    if (op.is_store) {
-      continue;  // Leftover init stores.
+    if (i > 0) {
+      ASSERT_TRUE(stream.Next(rng, &op));
     }
-    if (op.vaddr / kBasePageSize >= stream.heap_region_vpn()) {
+    EXPECT_FALSE(op.is_store);
+    if (op.vaddr / kBasePageSize >= heap_vpn) {
       saw_heap = true;
     } else {
       saw_bucket = true;
@@ -445,10 +454,10 @@ TEST(TenantKvTest, InitCoversEveryItemThenStaysInBounds) {
   stream.Init(process, rng);
 
   // The init phase SETs every item exactly once; every reference (init and driver) stays
-  // inside the two mapped regions (directory + heap).
-  const uint64_t dir_lo = stream.directory_region_vpn() * kBasePageSize;
+  // inside the two mapped regions (directory + heap, mapped in that order).
+  const uint64_t dir_lo = process.aspace().vmas()[0]->start_vpn() * kBasePageSize;
   const uint64_t dir_hi = dir_lo + config.virtual_tenants * 64;
-  const uint64_t heap_lo = stream.heap_region_vpn() * kBasePageSize;
+  const uint64_t heap_lo = process.aspace().vmas()[1]->start_vpn() * kBasePageSize;
   const uint64_t heap_hi = heap_lo + stream.total_items() * config.value_bytes;
   std::unordered_set<uint64_t> init_items;
   MemOp op;
@@ -477,14 +486,15 @@ TEST(TenantKvTest, OpenLoopArrivalsCarryThinkTime) {
   TenantKvStream stream(config);
   stream.Init(process, rng);
   MemOp op;
-  while (!stream.initialization_done()) {
+  // Drain the init phase: the first driver op's first reference is the last one taken.
+  while (stream.ops_issued() == 0) {
     ASSERT_TRUE(stream.Next(rng, &op));
   }
   // Post-init, the first reference of each op (the directory probe, a load) carries the
   // exponential interarrival gap; the mean should land near the configured mean.
   SimDuration total_gap = 0;
   uint64_t gaps = 0;
-  const uint64_t dir_lo = stream.directory_region_vpn() * kBasePageSize;
+  const uint64_t dir_lo = process.aspace().vmas()[0]->start_vpn() * kBasePageSize;
   const uint64_t dir_hi = dir_lo + config.virtual_tenants * 64;
   while (stream.Next(rng, &op)) {
     if (op.vaddr >= dir_lo && op.vaddr < dir_hi) {
@@ -535,7 +545,7 @@ TEST(KvStoreTest, SevenPageValueTouchesEveryPage) {
   ASSERT_TRUE(stream.Next(rng, &op));  // Bucket probe of item 0's SET.
   for (uint64_t page = 0; page < 7; ++page) {
     ASSERT_TRUE(stream.Next(rng, &op));
-    EXPECT_EQ(op.vaddr / kBasePageSize, stream.heap_region_vpn() + page);
+    EXPECT_EQ(op.vaddr / kBasePageSize, process.aspace().vmas()[1]->start_vpn() + page);
   }
 }
 
