@@ -200,6 +200,26 @@ void BM_PmbenchFill(benchmark::State& state) {
 }
 BENCHMARK(BM_PmbenchFill);
 
+// fastlane's stream (uniform over 96 MB in 32 segments), 64 ops per FillBatch; items/s is
+// ops/s.
+void BM_SegmentedFill(benchmark::State& state) {
+  ct::SegmentedConfig config;
+  config.working_set_bytes = 96ull << 20;
+  config.segments = 32;
+  config.read_ratio = 0.95;
+  ct::SegmentedStream stream(config);
+  ct::Process process(0, "segmented");
+  ct::Rng rng(8);
+  stream.Init(process, rng);
+  std::array<ct::MemOp, 64> ops{};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stream.FillBatch(rng, ops.data(), ops.size()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(ops.size()));
+}
+BENCHMARK(BM_SegmentedFill);
+
 void BM_SelectionEfficiencyNumeric(benchmark::State& state) {
   const ct::HotnessDensity h(0.6);
   for (auto _ : state) {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/det_math.h"
 
 namespace chronotier {
 
@@ -63,7 +64,7 @@ std::shared_ptr<const ZipfTable> SharedTable(const ZipfSampler& sampler) {
 ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n == 0 ? 1 : n), s_(s) {
   h_x1_ = H(1.5) - 1.0;
   h_n_ = H(static_cast<double>(n_) + 0.5);
-  threshold_ = 2.0 - HInverse(H(2.5) - std::pow(2.0, -s_));
+  threshold_ = 2.0 - HInverse(H(2.5) - det_math::Pow(2.0, -s_));
   if (n_ <= ZipfTable::kMaxN) {
     table_ = SharedTable(*this);
   }
@@ -72,16 +73,16 @@ ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n == 0 ? 1 : n), s_(s) {
 double ZipfSampler::H(double x) const {
   // Integral of x^-s, the continuous analogue of the zeta partial sum.
   if (s_ == 1.0) {
-    return std::log(x);
+    return det_math::Log(x);
   }
-  return (std::pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
+  return (det_math::Pow(x, 1.0 - s_) - 1.0) / (1.0 - s_);
 }
 
 double ZipfSampler::HInverse(double x) const {
   if (s_ == 1.0) {
-    return std::exp(x);
+    return det_math::Exp(x);
   }
-  return std::pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
+  return det_math::Pow(1.0 + x * (1.0 - s_), 1.0 / (1.0 - s_));
 }
 
 bool ZipfSampler::Attempt(uint64_t r, uint64_t* rank) const {
@@ -92,7 +93,7 @@ bool ZipfSampler::Attempt(uint64_t r, uint64_t* rank) const {
   if (static_cast<double>(k) - x <= threshold_) {
     return true;
   }
-  return u >= H(static_cast<double>(k) + 0.5) - std::pow(static_cast<double>(k), -s_);
+  return u >= H(static_cast<double>(k) + 0.5) - det_math::Pow(static_cast<double>(k), -s_);
 }
 
 std::shared_ptr<const ZipfTable> ZipfTable::Build(const ZipfSampler& sampler) {
@@ -116,7 +117,7 @@ std::shared_ptr<const ZipfTable> ZipfTable::Build(const ZipfSampler& sampler) {
     const double rank_start = sampler.H(k + 0.5);
     seed[p] = to_r(p % 2 == 0 ? rank_start
                               : std::min(sampler.H(k - sampler.threshold_),
-                                         rank_start - std::pow(k, -sampler.s_)));
+                                         rank_start - det_math::Pow(k, -sampler.s_)));
   }
   const auto make_monotone = [&seed, last] {
     for (uint64_t p = last - 1; p >= 1; --p) {

@@ -13,6 +13,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/det_math.h"
+
 namespace chronotier {
 
 // Stateless 64-bit mix used for seeding and hashing.
@@ -64,24 +66,54 @@ class Rng {
   // True with probability p.
   bool NextBool(double p) { return NextDouble() < p; }
 
-  // Standard normal via Marsaglia polar method (cached pair).
-  double NextGaussian() {
-    if (has_gaussian_) {
-      has_gaussian_ = false;
-      return cached_gaussian_;
-    }
-    double u = 0;
-    double v = 0;
-    double s = 0;
+  // One accepted point of the Marsaglia polar method: u, then v, drawn uniform on
+  // (-1, 1) until s = u*u + v*v lies in (0, 1).
+  struct PolarPoint {
+    double u;
+    double v;
+    double s;
+  };
+  PolarPoint NextPolarPoint() {
+    PolarPoint p{};
     do {
-      u = 2.0 * NextDouble() - 1.0;
-      v = 2.0 * NextDouble() - 1.0;
-      s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
-    cached_gaussian_ = v * factor;
+      p.u = 2.0 * NextDouble() - 1.0;
+      p.v = 2.0 * NextDouble() - 1.0;
+      p.s = p.u * p.u + p.v * p.v;
+    } while (p.s >= 1.0 || p.s == 0.0);
+    return p;
+  }
+
+  // Scales an accepted point to a pair of independent standard normals:
+  // u * PolarFactor(s) and v * PolarFactor(s).
+  static double PolarFactor(double s) { return std::sqrt(-2.0 * det_math::Log(s) / s); }
+
+  // Standard normal: the pending second value of the last pair if there is one, else the
+  // first value of a new pair, whose second value becomes pending.
+  double NextGaussian() {
+    double value = 0;
+    if (TakePendingGaussian(&value)) {
+      return value;
+    }
+    const PolarPoint p = NextPolarPoint();
+    const double factor = PolarFactor(p.s);
+    SetPendingGaussian(p.v * factor);
+    return p.u * factor;
+  }
+
+  // The pending second value of a pair carries across calls, so a caller that draws
+  // points itself (PmbenchStream, a slot at a time) takes and leaves it here, and a
+  // Gaussian sequence does not depend on how its draws were batched.
+  bool TakePendingGaussian(double* value) {
+    if (!has_gaussian_) {
+      return false;
+    }
+    has_gaussian_ = false;
+    *value = cached_gaussian_;
+    return true;
+  }
+  void SetPendingGaussian(double value) {
+    cached_gaussian_ = value;
     has_gaussian_ = true;
-    return u * factor;
   }
 
   // Exponential with the given mean.
@@ -90,7 +122,7 @@ class Rng {
     if (u <= 0.0) {
       u = 0x1.0p-53;
     }
-    return -mean * std::log(u);
+    return -mean * det_math::Log(u);
   }
 
  private:

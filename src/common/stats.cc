@@ -4,7 +4,27 @@
 
 namespace chronotier {
 
+void ReservoirSampler::Settle() const {
+  size_t i = 0;
+  for (; i < num_buffered_ && samples_.size() < capacity_; ++i) {
+    samples_.push_back(buffered_[i]);
+    ++seen_;
+  }
+  Rng rng = rng_;  // A local copy stays in registers across the stores below.
+  uint64_t seen = seen_;
+  for (; i < num_buffered_; ++i) {
+    const uint64_t slot = rng.NextBelow(++seen);
+    if (slot < capacity_) {
+      samples_[static_cast<size_t>(slot)] = buffered_[i];
+    }
+  }
+  rng_ = rng;
+  seen_ = seen;
+  num_buffered_ = 0;
+}
+
 double ReservoirSampler::Percentile(double p) const {
+  Settle();
   if (samples_.empty()) {
     return 0.0;
   }
@@ -25,6 +45,7 @@ double ReservoirSampler::Percentile(double p) const {
 }
 
 double ReservoirSampler::Mean() const {
+  Settle();
   if (samples_.empty()) {
     return 0.0;
   }

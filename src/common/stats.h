@@ -61,28 +61,32 @@ struct ClassificationStats {
   }
 };
 
-// Bounded-size uniform sample of a value stream; percentile queries select on a copy.
-// Keeps latency reporting O(1) per access regardless of run length.
+// Bounded-size uniform sample of a value stream (Algorithm R); percentile queries select
+// on a copy. Keeps latency reporting O(1) per access regardless of run length.
+//
+// Add buffers values and applies them kBatch at a time, in one loop that keeps the RNG in
+// registers. That is exact: which value is kept, and in which slot, depends only on the
+// count seen and the sampler's own draws, never on a value. Every read settles the buffer
+// first, and so does Clear: values added before a Clear still advanced the draw sequence.
+// A const read may therefore write, so one thread at a time reads a sampler.
 class ReservoirSampler {
  public:
+  static constexpr size_t kBatch = 64;
+
   explicit ReservoirSampler(size_t capacity = 65536, uint64_t seed = 1)
       : capacity_(capacity), rng_(seed) {
     samples_.reserve(capacity);
   }
 
   void Add(double value) {
-    ++seen_;
-    if (samples_.size() < capacity_) {
-      samples_.push_back(value);
-      return;
-    }
-    const uint64_t slot = rng_.NextBelow(seen_);
-    if (slot < capacity_) {
-      samples_[static_cast<size_t>(slot)] = value;
+    buffered_[num_buffered_++] = value;
+    if (num_buffered_ == kBatch) {
+      Settle();
     }
   }
 
   void Clear() {
+    Settle();
     samples_.clear();
     seen_ = 0;
   }
@@ -93,14 +97,26 @@ class ReservoirSampler {
 
   double Mean() const;
 
-  uint64_t seen() const { return seen_; }
-  size_t size() const { return samples_.size(); }
+  uint64_t seen() const {
+    Settle();
+    return seen_;
+  }
+  size_t size() const {
+    Settle();
+    return samples_.size();
+  }
 
  private:
+  // Applies the buffered values in the order they were added.
+  void Settle() const;
+
   size_t capacity_;
-  Rng rng_;
-  std::vector<double> samples_;
-  uint64_t seen_ = 0;
+  // The settled state; a read settles first, so it is mutable.
+  mutable Rng rng_;
+  mutable std::vector<double> samples_;
+  mutable uint64_t seen_ = 0;
+  mutable double buffered_[kBatch] = {};
+  mutable size_t num_buffered_ = 0;
 };
 
 }  // namespace chronotier

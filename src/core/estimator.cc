@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "src/common/check.h"
+#include "src/common/det_math.h"
 #include "src/common/stats.h"
 
 namespace chronotier {
@@ -65,7 +66,7 @@ double MissClassifiedColdMass(const std::function<double(double)>& density, int 
   double sum = 0;
   for (int i = 0; i < steps; ++i) {
     const double x = 1.0 + (static_cast<double>(i) + 0.5) * width;
-    sum += density(x) * std::pow(1.0 / x, n);
+    sum += density(x) * det_math::Pow(1.0 / x, n);
   }
   return sum * width;
 }
@@ -102,7 +103,7 @@ double HotnessDensity::Raw(double x) const {
   }
   // x^{1 - 1/α} · α^{αx + 1/(αx)}
   const double exponent = alpha_ * x + 1.0 / (alpha_ * x);
-  return std::pow(x, 1.0 - 1.0 / alpha_) * std::pow(alpha_, exponent);
+  return det_math::Pow(x, 1.0 - 1.0 / alpha_) * det_math::Pow(alpha_, exponent);
 }
 
 double HotnessDensity::operator()(double x) const { return Raw(x) / c_alpha_; }

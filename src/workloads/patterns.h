@@ -41,15 +41,24 @@ class RoundUpDivider {
 // The op envelope every page stream shares. After an optional address-ordered pre-touch
 // (every page once, as a store with no think time), each op draws its page, then its
 // offset in the page, then whether it is a store, and charges `per_op_delay`; the stream
-// ends after `op_limit` ops (0 = never). `Derived` maps its working set in
-// `Map(process)` (num_pages() is set by then), names the vpn of the i-th page in address
-// order in `VpnAt(i)` and draws one op's vpn in `DrawVpn(rng)`, reading ops_issued()
-// after the op is counted. `Config` carries working_set_bytes, read_ratio, op_limit,
-// per_op_delay and sequential_init. The hooks bind statically, so Next() makes no virtual
-// call.
+// ends after `op_limit` ops (0 = never). `Config` carries working_set_bytes, read_ratio,
+// op_limit, per_op_delay and sequential_init.
+//
+// FillBatch is the one generation path (Next is a batch of one), in two passes over at
+// most kPassOps ops. Pass 1 makes every draw of every op in the single-step order and
+// leaves a page token in each op's page bits (vaddr / kBasePageSize). Pass 2 lets the
+// stream resolve the whole pass's tokens to vpns at once, off the serial RNG chain. The
+// hooks bind statically. `Derived` maps its working set in `Map(process)` (num_pages() is
+// set by then), names the vpn of the i-th page in address order in `VpnAt(i)`, draws one
+// op's page token in `DrawPage(rng)`, reading ops_issued() after the op is counted, and
+// rewrites the pass's tokens as vpns in `ResolvePages(rng, ops, n)`; it may leave state in
+// `rng` for the next pass, as PmbenchStream does with a pending Gaussian.
 template <typename Derived, typename Config>
 class PageStream : public AccessStream {
  public:
+  // Ops per pass; bounds the per-pass state a stream keeps for its tokens.
+  static constexpr size_t kPassOps = 64;
+
   explicit PageStream(Config config) : config_(config) {}
 
   void Init(Process& process, Rng& /*rng*/) final {
@@ -58,22 +67,34 @@ class PageStream : public AccessStream {
     self().Map(process);
   }
 
-  bool Next(Rng& rng, MemOp* op) final {
-    if (config_.sequential_init && init_cursor_ < num_pages_) {
-      op->vaddr = self().VpnAt(init_cursor_++) * kBasePageSize;
-      op->is_store = true;
-      op->think_time = 0;
-      return true;
+  bool Next(Rng& rng, MemOp* op) final { return FillBatch(rng, op, 1) == 1; }
+
+  size_t FillBatch(Rng& rng, MemOp* ops, size_t max) final {
+    size_t produced = 0;
+    if (config_.sequential_init) {
+      for (; produced < max && init_cursor_ < num_pages_; ++produced) {
+        ops[produced] = MemOp{self().VpnAt(init_cursor_++) * kBasePageSize, true, 0};
+      }
     }
-    if (config_.op_limit != 0 && ops_issued_ >= config_.op_limit) {
-      return false;
+    uint64_t left = max - produced;
+    if (config_.op_limit != 0) {
+      left = std::min(left, config_.op_limit - ops_issued_);
     }
-    ++ops_issued_;
-    const uint64_t vpn = self().DrawVpn(rng);
-    op->vaddr = vpn * kBasePageSize + rng.NextBelow(kBasePageSize & ~7ull);
-    op->is_store = !rng.NextBool(config_.read_ratio);
-    op->think_time = config_.per_op_delay;
-    return true;
+    while (left > 0) {
+      const size_t n = std::min<uint64_t>(left, kPassOps);
+      MemOp* pass = ops + produced;
+      for (size_t i = 0; i < n; ++i) {
+        ++ops_issued_;
+        const uint64_t token = self().DrawPage(rng);
+        pass[i].vaddr = token * kBasePageSize + rng.NextBelow(kBasePageSize & ~7ull);
+        pass[i].is_store = !rng.NextBool(config_.read_ratio);
+        pass[i].think_time = config_.per_op_delay;
+      }
+      self().ResolvePages(rng, pass, n);
+      produced += n;
+      left -= n;
+    }
+    return produced;
   }
 
   uint64_t num_pages() const { return num_pages_; }
@@ -84,6 +105,12 @@ class PageStream : public AccessStream {
     return process.aspace().MapRegion(bytes, process.default_page_kind()) / kBasePageSize;
   }
   uint64_t ops_issued() const { return ops_issued_; }
+
+  // Pass 2's rewrite of one op: the vpn in place of its token, the in-page offset kept.
+  static void SetVpn(MemOp& op, uint64_t vpn) {
+    op.vaddr = vpn * kBasePageSize + op.vaddr % kBasePageSize;
+  }
+  static uint64_t Token(const MemOp& op) { return op.vaddr / kBasePageSize; }
 
   Config config_;
 
@@ -121,7 +148,8 @@ class HotsetStream final : public PageStream<HotsetStream, HotsetConfig> {
   friend PageStream;
   void Map(Process& process);
   uint64_t VpnAt(uint64_t i) const { return region_vpn_ + i; }
-  uint64_t DrawVpn(Rng& rng) {
+  // The token is the vpn itself, so pass 2 has nothing to do.
+  uint64_t DrawPage(Rng& rng) {
     if (config_.phase_ops != 0 && ops_issued() % config_.phase_ops == 0) {
       hot_base_ = (hot_base_ + hot_pages_) % num_pages();
     }
@@ -130,6 +158,7 @@ class HotsetStream final : public PageStream<HotsetStream, HotsetConfig> {
     }
     return region_vpn_ + rng.NextBelow(num_pages());
   }
+  void ResolvePages(Rng& /*rng*/, MemOp* /*ops*/, size_t /*n*/) {}
 
   uint64_t region_vpn_ = 0;
   uint64_t hot_pages_ = 0;
@@ -163,7 +192,13 @@ class SegmentedStream final : public PageStream<SegmentedStream, SegmentedConfig
     const uint64_t seg = segment_of_(idx);
     return base_vpns_[seg] + (idx - seg * pages_per_segment_);
   }
-  uint64_t DrawVpn(Rng& rng) { return VpnAt(rng.NextBelow(num_pages())); }
+  // The token is the page's index; pass 2 maps it to its segment.
+  uint64_t DrawPage(Rng& rng) { return rng.NextBelow(num_pages()); }
+  void ResolvePages(Rng& /*rng*/, MemOp* ops, size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      SetVpn(ops[i], VpnAt(Token(ops[i])));
+    }
+  }
 
   std::vector<uint64_t> base_vpns_;
   uint64_t pages_per_segment_ = 1;

@@ -9,6 +9,8 @@ void PmbenchStream::Map(Process& process) {
   stride_ = std::max<uint64_t>(config_.stride, 1);
   // Strided indexes stay below num_pages() * stride_.
   fold_ = RoundUpDivider(num_pages(), stride_);
+  center_ = static_cast<double>(num_pages()) / 2.0;
+  sigma_ = static_cast<double>(num_pages()) * config_.sigma_fraction;
 }
 
 uint64_t PmbenchStream::MapIndexToVpn(uint64_t index) const {
@@ -33,18 +35,29 @@ std::vector<uint64_t> PmbenchStream::HotVpns(double fraction) const {
   return vpns;
 }
 
-uint64_t PmbenchStream::DrawIndex(Rng& rng) const {
-  const double center = static_cast<double>(num_pages()) / 2.0;
-  const double sigma = static_cast<double>(num_pages()) * config_.sigma_fraction;
-  const double draw = center + sigma * rng.NextGaussian();
-  // Out-of-range draws wrap (keeps the distribution's mass without clamping pileup at the
-  // edges); with sigma <= 0.25 the wrap is rare, so divisions stay off the hot path.
-  auto index = static_cast<int64_t>(draw);
-  const auto n = static_cast<int64_t>(num_pages());
-  if (index < 0 || index >= n) {
-    index = ((index % n) + n) % n;
+void PmbenchStream::ResolvePages(Rng& rng, MemOp* ops, size_t n) {
+  // The logs of a whole pass are independent, so they overlap instead of queueing behind
+  // each op's draws.
+  for (size_t j = 0; j < pairs_; ++j) {
+    const double factor = Rng::PolarFactor(polar_s_[j]);
+    gaussians_[2 * j + 1] *= factor;
+    gaussians_[2 * j + 2] *= factor;
   }
-  return static_cast<uint64_t>(index);
+  const auto pages = static_cast<int64_t>(num_pages());
+  for (size_t i = 0; i < n; ++i) {
+    // Out-of-range draws wrap (keeps the distribution's mass without clamping pileup at
+    // the edges); with sigma <= 0.25 the wrap is rare, so divisions stay off the hot path.
+    auto index = static_cast<int64_t>(center_ + sigma_ * gaussians_[Token(ops[i])]);
+    if (index < 0 || index >= pages) {
+      index = ((index % pages) + pages) % pages;
+    }
+    SetVpn(ops[i], MapIndexToVpn(static_cast<uint64_t>(index)));
+  }
+  if (pending_ != kNoPending) {
+    rng.SetPendingGaussian(gaussians_[pending_]);
+    pending_ = kNoPending;
+  }
+  pairs_ = 0;
 }
 
 }  // namespace chronotier

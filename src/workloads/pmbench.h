@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/workloads/patterns.h"
@@ -55,12 +56,42 @@ class PmbenchStream final : public PageStream<PmbenchStream, PmbenchConfig> {
   friend PageStream;
   void Map(Process& process);
   uint64_t VpnAt(uint64_t i) const { return region_vpn_ + i; }
-  uint64_t DrawVpn(Rng& rng) { return MapIndexToVpn(DrawIndex(rng)); }
-  uint64_t DrawIndex(Rng& rng) const;
+
+  // Pass 1: the op's token names its Gaussian value, the pending second value of the last
+  // pair if there is one, else the first value of a new pair drawn here.
+  uint64_t DrawPage(Rng& rng) {
+    if (pending_ != kNoPending) {
+      return std::exchange(pending_, kNoPending);
+    }
+    if (rng.TakePendingGaussian(&gaussians_[0])) {
+      return 0;
+    }
+    const Rng::PolarPoint point = rng.NextPolarPoint();
+    const uint64_t token = 2 * pairs_ + 1;
+    gaussians_[token] = point.u;
+    gaussians_[token + 1] = point.v;
+    polar_s_[pairs_++] = point.s;
+    pending_ = token + 1;
+    return token;
+  }
+  // Pass 2: scales every pair by its polar factor, folds each op's value to its page, and
+  // leaves an unused second value pending in `rng` for the next pass.
+  void ResolvePages(Rng& rng, MemOp* ops, size_t n);
 
   uint64_t region_vpn_ = 0;
   uint64_t stride_ = 1;  // config_.stride, at least 1.
   RoundUpDivider fold_;  // strided index / num_pages().
+  double center_ = 0;    // Of the Gaussian index, in pages.
+  double sigma_ = 0;
+
+  // One pass's Gaussian values by token: token 0 is a value an earlier pass left pending
+  // in the Rng; tokens 2j+1 and 2j+2 are pair j's u and v, which pass 2 multiplies by
+  // Rng::PolarFactor(polar_s_[j]). Empty between passes.
+  static constexpr uint64_t kNoPending = ~uint64_t{0};
+  double gaussians_[2 * kPassOps + 1] = {};
+  double polar_s_[kPassOps] = {};
+  size_t pairs_ = 0;
+  uint64_t pending_ = kNoPending;  // Token of the last pair's unused second value.
 };
 
 }  // namespace chronotier

@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -369,6 +370,63 @@ TEST(ReservoirTest, ApproximatesWhenOverflowing) {
   EXPECT_EQ(sampler.size(), 1024u);
   EXPECT_EQ(sampler.seen(), 100000u);
   EXPECT_NEAR(sampler.Percentile(50), 500.0, 60.0);
+}
+
+// Algorithm R one value at a time: the reference the batched sampler must match exactly.
+struct OneAtATimeReservoir {
+  size_t capacity;
+  Rng rng;
+  std::vector<double> samples;
+  uint64_t seen = 0;
+
+  void Add(double value) {
+    ++seen;
+    if (samples.size() < capacity) {
+      samples.push_back(value);
+      return;
+    }
+    const uint64_t slot = rng.NextBelow(seen);
+    if (slot < capacity) {
+      samples[slot] = value;
+    }
+  }
+};
+
+// Reads come every 31st add, so most batches apply whole and a Clear often meets values
+// still buffered: those advanced the draw sequence and must be drawn before it clears.
+TEST(ReservoirTest, BatchedMatchesOneAtATime) {
+  constexpr size_t kCapacity = 50;
+  constexpr uint64_t kSeed = 9;
+  ReservoirSampler sampler(kCapacity, kSeed);
+  OneAtATimeReservoir reference{kCapacity, Rng(kSeed), {}};
+  const auto expect_same = [&](const std::string& where) {
+    SCOPED_TRACE(where);
+    ReservoirSampler expected(kCapacity, kSeed);  // Only for its read functions.
+    for (const double value : reference.samples) {
+      expected.Add(value);
+    }
+    ASSERT_EQ(sampler.seen(), reference.seen);
+    ASSERT_EQ(sampler.size(), reference.samples.size());
+    ASSERT_EQ(sampler.Mean(), expected.Mean());
+    for (const double p : {0.0, 50.0, 99.0, 100.0}) {
+      ASSERT_EQ(sampler.Percentile(p), expected.Percentile(p)) << "p" << p;
+    }
+  };
+  uint64_t value = 0;
+  for (const uint64_t adds : {1, 63, 64, 65, 100037, 1000}) {
+    for (uint64_t i = 0; i < adds; ++i) {
+      const auto x = static_cast<double>(++value * 7919 % 100003);
+      sampler.Add(x);
+      reference.Add(x);
+      if (i % 31 == 30) {
+        expect_same("after add " + std::to_string(i + 1) + " of " + std::to_string(adds));
+      }
+    }
+    sampler.Clear();
+    reference.samples.clear();
+    reference.seen = 0;
+    expect_same("after a Clear following " + std::to_string(adds) + " adds");
+  }
 }
 
 // --- xarray ---

@@ -365,6 +365,26 @@ TEST(DetlintRules, DeadSymbolInertWithoutConfig) {
   EXPECT_EQ(Lint({"src/dead/api.h", "src/dead/api.cc"}), Expected{});
 }
 
+// ---- DL014: host libm calls outside the det_math shim. ----
+
+TEST(DetlintRules, HostLibmFiresOnEveryCallForm) {
+  EXPECT_EQ(Lint({"src/common/libm_dirty.cc"}),
+            (Expected{{"DL014", 6}, {"DL014", 7}, {"DL014", 8}, {"DL014", 9}, {"DL014", 10}}));
+}
+
+TEST(DetlintRules, HostLibmSkipsShimMembersAndDeclarations) {
+  EXPECT_EQ(Lint({"src/common/libm_clean.cc"}), Expected{});
+}
+
+TEST(DetlintRules, HostLibmConfigAllowlistSilences) {
+  Config config;
+  std::string error;
+  ASSERT_TRUE(config.Parse("[rule.host-libm]\nallow = [\"src/common/libm_dirty.cc\"]\n",
+                           &error))
+      << error;
+  EXPECT_EQ(Lint({"src/common/libm_dirty.cc"}, config), Expected{});
+}
+
 // ---- Lexer: rule sites after multi-line raw strings keep exact lines. ----
 
 TEST(DetlintLexer, RuleSiteAfterMultiLineRawStringHasExactLine) {
@@ -425,9 +445,9 @@ TEST(DetlintLexer, StringsCommentsAndRawStringsAreStripped) {
 
 TEST(DetlintRules, AllRulesHaveStableIdsAndHints) {
   const auto& rules = AllRules();
-  ASSERT_EQ(rules.size(), 14u);
+  ASSERT_EQ(rules.size(), 15u);
   EXPECT_STREQ(rules.front().id, "DL000");
-  EXPECT_STREQ(rules.back().id, "DL013");
+  EXPECT_STREQ(rules.back().id, "DL014");
   for (const RuleInfo& rule : rules) {
     EXPECT_NE(std::string(rule.name), "");
     EXPECT_NE(std::string(rule.hint), "");

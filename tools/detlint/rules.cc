@@ -73,6 +73,11 @@ const RuleInfo kDeadSymbol = {
     "DL013", "dead-symbol", Severity::kError,
     "delete the function or its declaration; if it is API surface kept on purpose, "
     "annotate the declaration: // detlint:allow(dead-symbol) <why it stays>"};
+const RuleInfo kHostLibm = {
+    "DL014", "host-libm", Severity::kError,
+    "call det_math::Log/Exp/Pow/Log2 (src/common/det_math.h): log, exp, pow and log2 "
+    "need not be correctly rounded, so a bare call ties simulated results to the host "
+    "libm; the shim is the one allowlisted caller"};
 
 // Keywords that legitimately precede a call expression; any other identifier
 // directly before `name(` makes it a declaration (`SimTime time() const`), not
@@ -107,6 +112,7 @@ class RuleRunner {
     NakedNew();
     StdFunctionHotPath();
     HotPathAlloc();
+    HostLibm();
     std::sort(findings_.begin(), findings_.end(), FindingLess);
     findings_.erase(std::unique(findings_.begin(), findings_.end(),
                                 [](const Finding& a, const Finding& b) {
@@ -464,6 +470,31 @@ class RuleRunner {
     }
   }
 
+  // DL014: a call to log, exp, pow or log2 in src/, bare, `::`- or std::-qualified.
+  // Member calls, other namespaces' functions of the same name, and declarations (a type
+  // name before the name) are not libm calls.
+  void HostLibm() {
+    if (file_.path.rfind("src/", 0) != 0) {
+      return;
+    }
+    static const std::set<std::string> kLibm = {"log", "exp", "pow", "log2"};
+    for (size_t i = 0; i < t_.size(); ++i) {
+      const Token& tok = t_.At(i);
+      if (tok.kind != TokenKind::kIdentifier || kLibm.count(tok.text) == 0 ||
+          !t_.IsPunct(i + 1, '(') || t_.IsMemberAccess(i)) {
+        continue;
+      }
+      if (t_.IsScopeQualified(i)) {
+        if (i >= 3 && t_.IsAnyId(i - 3) && !t_.IsId(i - 3, "std")) {
+          continue;
+        }
+      } else if (i > 0 && t_.IsAnyId(i - 1) && !IsExpressionKeyword(t_.At(i - 1).text)) {
+        continue;
+      }
+      Report(kHostLibm, tok.line, "host libm call '" + tok.text + "()'");
+    }
+  }
+
   const LexedFile& file_;
   const Config& config_;
   Tokens t_;
@@ -479,7 +510,7 @@ const std::vector<RuleInfo>& AllRules() {
       kUnorderedIter,    kPointerSort,     kUnseededShuffle,
       kPragmaOnce,       kUsingNamespaceHeader, kNakedNew,
       kStdFunctionHotPath, kSubsystemLayering, kHotPathAlloc,
-      kObservationalPurity, kDeadSymbol};
+      kObservationalPurity, kDeadSymbol, kHostLibm};
   return kRules;
 }
 

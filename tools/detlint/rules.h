@@ -19,6 +19,8 @@
 //                                watched simulation class
 //   DL013 dead-symbol            function declared in a src/ header, referenced by no
 //                                TU
+//   DL014 host-libm              log/exp/pow/log2 called in src/ outside the det_math
+//                                shim (src/common/det_math.h)
 //
 // DL010–DL013 are cross-TU: they need every analyzed file's tokens/includes at
 // once and are activated by their detlint.toml sections (layers / paths /
